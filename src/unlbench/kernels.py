@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 
-__all__ = ["as_matrix", "gram_linear", "center_gram", "hsic"]
+__all__ = ["as_matrix", "gram_linear", "center_gram", "hsic", "hsic_centered"]
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -66,7 +66,18 @@ def hsic(k: np.ndarray, l: np.ndarray) -> float:
     n = k.shape[0]
     if n < 2:
         raise DegenerateInputError("HSIC needs matrices of size >= 2")
-    kc = center_gram(k)
-    lc = center_gram(l)
+    return hsic_centered(center_gram(k), center_gram(l))
+
+
+def hsic_centered(kc: np.ndarray, lc: np.ndarray) -> float:
+    """HSIC of two already double-centered Gram matrices of equal shape.
+
+    Callers that reuse one centered matrix in several HSIC terms (CKA) center
+    it once with center_gram and pass it here; hsic(K, L) is exactly
+    hsic_centered(center_gram(K), center_gram(L)).
+    """
+    if kc.shape != lc.shape:
+        raise ShapeError(f"HSIC needs equal shapes, got {kc.shape} and {lc.shape}")
+    n = kc.shape[0]
     # tr(Kc @ Lc) for symmetric matrices equals the elementwise product sum.
     return float(np.sum(kc * lc) / (n - 1) ** 2)

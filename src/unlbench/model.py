@@ -57,9 +57,6 @@ class MlpParams:
     def num_classes(self) -> int:
         return self.Whead.shape[1]
 
-    def num_parameters(self) -> int:
-        return sum(getattr(self, b).size for b in BLOCKS)
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for b in BLOCKS:

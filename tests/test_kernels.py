@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unlbench.errors import DegenerateInputError, ShapeError
-from unlbench.kernels import center_gram, gram_linear, hsic
+from unlbench.kernels import center_gram, gram_linear, hsic, hsic_centered
 from unlbench.rng import make_rng
 
 
@@ -111,3 +111,15 @@ class TestHsic:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             hsic(np.eye(3), np.eye(4))
+
+    def test_equals_hsic_of_centered_grams(self):
+        for seed in range(10):
+            rng = make_rng(seed, 3)
+            a = rng.standard_normal((9, 4))
+            b = rng.standard_normal((9, 2))
+            k, l = gram_linear(a), gram_linear(b)
+            assert hsic(k, l) == hsic_centered(center_gram(k), center_gram(l))
+
+    def test_centered_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            hsic_centered(np.zeros((3, 3)), np.zeros((4, 4)))

@@ -16,6 +16,7 @@ from unlbench.metrics import (
     compute_cka,
     compute_hlr,
     compute_knn_accuracy,
+    _frobenius_rescale,
     fit_linear_svm,
     knn_predict,
     last_layer_analysis,
@@ -24,6 +25,7 @@ from unlbench.metrics import (
     mia_efficacy,
     stratified_split,
 )
+from unlbench.kernels import as_matrix, gram_linear, hsic
 from unlbench.model import MlpParams, TrainConfig
 from unlbench.rng import make_rng
 
@@ -198,6 +200,51 @@ class TestCka:
             compute_cka(np.ones((2, 2)), np.ones((2, 2)))
 
 
+def cka_three_hsic_oracle(xa, xb):
+    """The scalar CKA form with each HSIC term centering its own Grams."""
+    xa = _frobenius_rescale(as_matrix(xa))
+    xb = _frobenius_rescale(as_matrix(xb))
+    ka, kb = gram_linear(xa), gram_linear(xb)
+    h_ab, h_aa, h_bb = hsic(ka, kb), hsic(ka, ka), hsic(kb, kb)
+    if h_aa < 1e-12 or h_bb < 1e-12:
+        return 0.0
+    if xa.shape == xb.shape and np.array_equal(xa, xb):
+        return 1.0
+    return h_ab / np.sqrt(h_aa * h_bb)
+
+
+class TestCkaExactness:
+    """Centering each Gram once must not move a single bit of the score."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_inputs_bit_identical(self, seed):
+        rng = make_rng(seed, 11)
+        xa = rng.standard_normal((256, 16))
+        xb = xa + 0.3 * rng.standard_normal((256, 16))
+        assert compute_cka(xa, xb) == cka_three_hsic_oracle(xa, xb)
+        xc = rng.standard_normal((40, 7))
+        xd = rng.standard_normal((40, 3))
+        assert compute_cka(xc, xd) == cka_three_hsic_oracle(xc, xd)
+
+    def test_collapsed_astronomical_features_bit_identical(self):
+        # A diverged model's features: one shared direction near 1e181, so
+        # the rescale divides by the peak before the Frobenius step.
+        rng = make_rng(7, 11)
+        direction = rng.standard_normal(16)
+        collapsed = 1e181 * (direction + 0.05 * rng.standard_normal((256, 16)))
+        related = collapsed / 1e181 + 0.05 * rng.standard_normal((256, 16))
+        v = compute_cka(collapsed, related)
+        assert 0.0 < v < 1.0
+        assert v == cka_three_hsic_oracle(collapsed, related)
+        # Near-total collapse falls under the self-HSIC floor on both paths.
+        flat = 1e181 * (direction + 1e-3 * rng.standard_normal((256, 16)))
+        assert compute_cka(flat, related) == cka_three_hsic_oracle(flat, related) == 0.0
+
+    def test_identical_inputs_still_exactly_one(self):
+        x = make_rng(8, 11).standard_normal((256, 16))
+        assert compute_cka(x, x) == 1.0
+
+
 def oracle_knn_accuracy(features, labels, k, split_seed):
     """Brute-force reimplementation: loops, insertion into a sorted list,
     manual vote counting; shares only the tie-break contract."""
@@ -322,6 +369,62 @@ class TestMia:
     def test_single_class_training_rejected(self):
         with pytest.raises(DegenerateInputError):
             fit_linear_svm(np.ones(10), np.ones(10), seed=0)
+
+    def test_two_feature_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            fit_linear_svm(np.ones((10, 2)), np.arange(10) % 2, seed=0)
+
+
+def pegasos_array_oracle(features, labels01, seed, epochs=200, l2=1e-3):
+    """The Pegasos loop on 1-element numpy arrays, as fit_linear_svm ran it
+    before moving to plain floats."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    y = np.where(np.asarray(labels01) > 0, 1.0, -1.0)
+    rng = make_rng(seed, 0)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(x.shape[0]):
+            t += 1
+            eta = 1.0 / (l2 * t)
+            margin = y[i] * (x[i] @ w + b)
+            w *= 1.0 - eta * l2
+            if margin < 1.0:
+                w += eta * y[i] * x[i]
+                b += eta * y[i]
+    return w, b
+
+
+def standardized_attack_features(seed, per_class):
+    """Overlapping member/non-member confidences, standardized as the MIA does."""
+    rng = make_rng(seed, 21)
+    feats = np.concatenate([1.0 - rng.exponential(0.02, per_class),
+                            1.0 - rng.exponential(0.05, per_class)])
+    labels = np.concatenate([np.ones(per_class), np.zeros(per_class)])
+    return (feats - feats.mean()) / feats.std(), labels
+
+
+class TestSvmMatchesArrayOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_instance_bit_identical(self, seed):
+        feats, labels = standardized_attack_features(seed, 60)
+        w, b = fit_linear_svm(feats, labels, seed=seed)
+        w_ref, b_ref = pegasos_array_oracle(feats, labels, seed)
+        assert w.shape == (1,)
+        assert w[0] == w_ref[0] and b == b_ref
+        w_col, b_col = fit_linear_svm(feats[:, None], labels, seed=seed, epochs=20)
+        w_ref, b_ref = pegasos_array_oracle(feats[:, None], labels, seed, epochs=20)
+        assert w_col[0] == w_ref[0] and b_col == b_ref
+
+    def test_default_mia_size_bit_identical(self):
+        # 375 members + 375 non-members: the balanced set the default MIA trains on.
+        feats, labels = standardized_attack_features(3, 375)
+        w, b = fit_linear_svm(feats, labels, seed=5)
+        w_ref, b_ref = pegasos_array_oracle(feats, labels, 5)
+        assert w[0] == w_ref[0] and b == b_ref
 
 
 class TestLogitGapsAndLastLayer:
