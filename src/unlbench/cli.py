@@ -8,6 +8,7 @@ with a top-level "version" field.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -27,6 +28,7 @@ from .harness import (
     default_method_config,
     emit_report,
     evaluate_model,
+    method_config,
     run_scenario,
     select_top_classes,
     sweep_dp_noise,
@@ -41,7 +43,7 @@ from .model import (
     save_checkpoint,
     sgd_train,
 )
-from .unlearning import UnlearnConfig, run_unlearning
+from .unlearning import run_unlearning
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,9 +65,16 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _block(doc: dict, name: str) -> tuple:
+    """The named block of a config document and its path, or else the bare
+    document without its version key."""
+    if name in doc:
+        return doc[name], name
+    return {k: v for k, v in doc.items() if k != "version"}, ""
+
+
 def _cmd_gen_data(args) -> int:
-    doc = _load_json(args.config)
-    spec = SyntheticSpec.from_dict(doc.get("data", doc))
+    spec = SyntheticSpec.from_dict(*_block(_load_json(args.config), "data"))
     train, test, downstreams, _ = generate_universe(spec)
     out = Path(args.out)
     meta = {"spec": spec.to_dict(), "seed": spec.prototype_seed}
@@ -79,8 +88,7 @@ def _cmd_gen_data(args) -> int:
 
 def _train_config(args) -> TrainConfig:
     if args.config:
-        doc = _load_json(args.config)
-        cfg = TrainConfig.from_dict(doc.get("train", doc))
+        cfg = TrainConfig.from_dict(*_block(_load_json(args.config), "train"))
     else:
         cfg = TrainConfig()
     if args.seed is not None:
@@ -121,20 +129,12 @@ def _cmd_unlearn(args) -> int:
     original = load_checkpoint(args.original)
     split = load_split(args.split)
     if args.config:
-        doc = _load_json(args.config)
-        body = doc.get("unlearn", doc)
-        body = {k: v for k, v in body.items() if k != "version"}
-        body.setdefault("method", args.method)
-        if body["method"] != args.method:
-            raise ConfigError(
-                f"--method {args.method} conflicts with config method {body['method']}"
-            )
-        base = default_method_config(args.method).to_dict()
-        base_inner = base.pop("base")
-        base_inner.update(body.get("base", {}))
-        base.update({k: v for k, v in body.items() if k != "base"})
-        base["base"] = base_inner
-        cfg = UnlearnConfig.from_dict(base)
+        body, path = _block(_load_json(args.config), "unlearn")
+        if isinstance(body, dict):
+            body = {"method": args.method, **body}
+        cfg = method_config(body, path)
+        if cfg.method != args.method:
+            raise ConfigError(f"--method {args.method} conflicts with config method {cfg.method}")
     else:
         cfg = default_method_config(args.method)
     if args.seed is not None:
@@ -219,7 +219,7 @@ def _cmd_eval(args) -> int:
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_json(args.config))
     if args.out:
-        cfg = type(cfg).from_dict({**cfg.to_dict(), "output_dir": args.out})
+        cfg = replace(cfg, output_dir=args.out)
     reports, _ = run_scenario(cfg)
     failed = [r for r in reports if r.status != "ok"]
     print(f"{len(reports)} rows written to {cfg.output_dir} ({len(failed)} failed)")
@@ -228,7 +228,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    sweep = doc.get("sweep", {})
+    sweep = doc.pop("sweep", {})
     cfg = ExperimentConfig.from_dict(doc)
     method = args.method or sweep.get("method")
     if not method:

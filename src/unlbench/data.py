@@ -16,6 +16,7 @@ import numpy as np
 from . import ubm
 from .errors import BoundsError, ConfigError, GenerationError
 from .rng import make_rng
+from .serial import ConfigDict
 
 MAX_PAIRWISE_COS = 0.6
 
@@ -27,7 +28,7 @@ _STREAM_DOWN_BASE = 10  # 3 streams per downstream dataset
 
 
 @dataclass(frozen=True)
-class DownstreamSpec:
+class DownstreamSpec(ConfigDict):
     """A downstream dataset tied to the training universe.
 
     The first len(anchor_classes) downstream classes are anchored: class i's
@@ -38,7 +39,7 @@ class DownstreamSpec:
 
     name: str
     num_classes: int
-    anchor_classes: tuple = ()
+    anchor_classes: tuple[int, ...] = ()
     anchor_similarity: float = 0.85
     per_class: int = 60
     noise_sigma: float | None = None
@@ -65,14 +66,14 @@ def default_downstream_specs() -> tuple:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(ConfigDict):
     ambient_dim: int = 32
     num_train_classes: int = 20
     per_class_train: int = 100
     per_class_test: int = 50
     class_noise_sigma: float = 0.25
     prototype_seed: int = 7
-    downstream_specs: tuple = field(default_factory=default_downstream_specs)
+    downstream_specs: tuple[DownstreamSpec, ...] = field(default_factory=default_downstream_specs)
 
     def __post_init__(self):
         if self.ambient_dim < 2:
@@ -88,50 +89,6 @@ class SyntheticSpec:
             for a in d.anchor_classes:
                 if not 0 <= a < self.num_train_classes:
                     raise ConfigError(f"{d.name}: anchor class {a} out of range")
-
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "num_train_classes": self.num_train_classes,
-            "per_class_train": self.per_class_train,
-            "per_class_test": self.per_class_test,
-            "class_noise_sigma": self.class_noise_sigma,
-            "prototype_seed": self.prototype_seed,
-            "downstream_specs": [
-                {
-                    "name": d.name,
-                    "num_classes": d.num_classes,
-                    "anchor_classes": list(d.anchor_classes),
-                    "anchor_similarity": d.anchor_similarity,
-                    "per_class": d.per_class,
-                    "noise_sigma": d.noise_sigma,
-                }
-                for d in self.downstream_specs
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticSpec":
-        downs = tuple(
-            DownstreamSpec(
-                name=x["name"],
-                num_classes=x["num_classes"],
-                anchor_classes=tuple(x.get("anchor_classes", ())),
-                anchor_similarity=x.get("anchor_similarity", 0.85),
-                per_class=x.get("per_class", 60),
-                noise_sigma=x.get("noise_sigma"),
-            )
-            for x in d.get("downstream_specs", [])
-        ) or default_downstream_specs()
-        return SyntheticSpec(
-            ambient_dim=d.get("ambient_dim", 32),
-            num_train_classes=d.get("num_train_classes", 20),
-            per_class_train=d.get("per_class_train", 100),
-            per_class_test=d.get("per_class_test", 50),
-            class_noise_sigma=d.get("class_noise_sigma", 0.25),
-            prototype_seed=d.get("prototype_seed", 7),
-            downstream_specs=downs,
-        )
 
 
 @dataclass

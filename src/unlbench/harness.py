@@ -2,7 +2,7 @@
 run every configured unlearning method, evaluate, and emit reports.
 
 Determinism contract: an identical ExperimentConfig (including master_seed)
-produces byte-identical report.json regardless of the worker-thread count.
+produces byte-identical report.json.
 Wall-clock timings therefore live only in report.csv; the JSON carries the
 deterministic sample-visit counts instead.
 """
@@ -10,9 +10,7 @@ deterministic sample-visit counts instead.
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from .data import (
     split_random_forget,
     split_top_forget,
 )
-from .errors import BoundsError, ConfigError
+from .errors import BoundsError, ConfigError, DegenerateInputError, DivergenceError
 from .metrics import (
     DownstreamRepr,
     MetricsReport,
@@ -42,9 +40,8 @@ from .metrics import (
 )
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
-from .unlearning import METHODS, UnlearnConfig, run_unlearning
-
-THREADS_ENV = "UNLBENCH_THREADS"
+from .serial import ConfigDict
+from .unlearning import UnlearnConfig, run_unlearning
 
 # Seed-derivation streams under master_seed.
 _S_TRAIN_ORIGINAL = 1
@@ -81,8 +78,24 @@ def default_method_config(method: str) -> UnlearnConfig:
     return UnlearnConfig(method=method, **presets[method])
 
 
+def method_config(entry, path: str) -> UnlearnConfig:
+    """A config's method entry: a bare name takes default_method_config, an
+    object overrides those defaults key by key (base keys one level down)."""
+    if isinstance(entry, str):
+        return default_method_config(entry)
+    if not isinstance(entry, dict) or not isinstance(entry.get("method"), str):
+        raise ConfigError(f"{path}: expected a method name or an object with a method")
+    merged = default_method_config(entry["method"]).to_dict()
+    overrides = entry.get("base", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}.base: expected an object, got {type(overrides).__name__}")
+    merged["base"].update(overrides)
+    merged.update({k: v for k, v in entry.items() if k != "base"})
+    return UnlearnConfig.from_dict(merged, path)
+
+
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(ConfigDict):
     kind: str = "random"
     n_forget: int = 5
     related_dataset: str | None = None
@@ -95,15 +108,14 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ConfigDict):
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    methods: tuple = ()
+    methods: tuple[UnlearnConfig, ...] = ()
     master_seed: int = 7
     repeats: int = 5
     output_dir: str = "out"
-    thread_count: int | None = None
     probe_rows: int = 256
 
     def __post_init__(self):
@@ -116,70 +128,34 @@ class ExperimentConfig:
                     "top scenario requires related_dataset naming a downstream spec, "
                     f"got {self.scenario.related_dataset!r}"
                 )
-        for m in self.methods:
-            if m.method not in METHODS:
-                raise ConfigError(f"unknown method {m.method!r}")
+        if self.scenario.n_forget >= self.data.num_train_classes:
+            raise ConfigError(
+                f"n_forget {self.scenario.n_forget} must be below num_train_classes "
+                f"{self.data.num_train_classes}"
+            )
+        if self.probe_rows < 3:
+            raise ConfigError("probe_rows must be >= 3 (CKA needs at least 3 rows)")
+        if not self.data.downstream_specs:
+            raise ConfigError("data.downstream_specs must name at least one dataset")
+        for d in self.data.downstream_specs:
+            # k-NN with k = 5 needs 6 rows per class in the 80 % split.
+            if int(0.8 * d.per_class) < 6:
+                raise ConfigError(f"{d.name}: per_class {d.per_class} leaves fewer than "
+                                  "6 rows per class for k-NN")
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "data": self.data.to_dict(),
-            "scenario": {
-                "kind": self.scenario.kind,
-                "n_forget": self.scenario.n_forget,
-                "related_dataset": self.scenario.related_dataset,
-            },
-            "train": self.train.to_dict(),
-            "methods": [m.to_dict() for m in self.methods],
-            "master_seed": self.master_seed,
-            "repeats": self.repeats,
-            "output_dir": self.output_dir,
-            "thread_count": self.thread_count,
-            "probe_rows": self.probe_rows,
-        }
+        return {"version": 1, **super().to_dict()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        if d.get("version") != 1:
-            raise ConfigError(f"config version must be 1, got {d.get('version')!r}")
-        sc = d.get("scenario", {})
-        methods = []
-        for m in d.get("methods", []):
-            if isinstance(m, str):
-                methods.append(default_method_config(m))
-            else:
-                base = default_method_config(m["method"])
-                merged = base.to_dict()
-                merged_base = merged.pop("base")
-                merged_base.update(m.get("base", {}))
-                merged.update({k: v for k, v in m.items() if k not in ("base",)})
-                merged["base"] = merged_base
-                methods.append(UnlearnConfig.from_dict(merged))
-        return ExperimentConfig(
-            data=SyntheticSpec.from_dict(d.get("data", {})),
-            scenario=ScenarioSpec(
-                kind=sc.get("kind", "random"),
-                n_forget=sc.get("n_forget", 5),
-                related_dataset=sc.get("related_dataset"),
-            ),
-            train=TrainConfig.from_dict(d.get("train", {})),
-            methods=tuple(methods),
-            master_seed=d.get("master_seed", 7),
-            repeats=d.get("repeats", 5),
-            output_dir=d.get("output_dir", "out"),
-            thread_count=d.get("thread_count"),
-            probe_rows=d.get("probe_rows", 256),
-        )
-
-
-def resolve_threads(cfg_threads: int | None) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return max(1, cfg_threads or 1)
+    @classmethod
+    def from_dict(cls, d: dict, path: str = "") -> "ExperimentConfig":
+        version = d.get("version") if isinstance(d, dict) else None
+        if version != 1:
+            raise ConfigError(f"config version must be 1, got {version!r}")
+        body = {k: v for k, v in d.items() if k != "version"}
+        if isinstance(body.get("methods"), (list, tuple)):
+            body["methods"] = [method_config(m, f"methods[{i}]")
+                               for i, m in enumerate(body["methods"])]
+        return super().from_dict(body, path)
 
 
 @dataclass
@@ -340,19 +316,9 @@ def _downstream_repr(ctx: ScenarioContext, theta_u: MlpParams, name: str) -> Dow
     )
 
 
-def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams, threads: int = 1) -> dict:
-    """All metrics of one unlearned (or reference) model against the context.
-
-    Downstream datasets are evaluated by a worker pool; results are keyed
-    by dataset name, so the thread count cannot affect values.
-    """
-    names = list(ctx.downstreams)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_downstream_repr, ctx, theta_u, n) for n in names]
-            per_dataset = {n: f.result() for n, f in zip(names, futures)}
-    else:
-        per_dataset = {n: _downstream_repr(ctx, theta_u, n) for n in names}
+def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
+    """All metrics of one unlearned (or reference) model against the context."""
+    per_dataset = {n: _downstream_repr(ctx, theta_u, n) for n in ctx.downstreams}
     scores = ReprScores(per_dataset)
     gaps = logit_gaps(theta_u, ctx.theta_r, ctx.split)
     agl = compute_agl(gaps)
@@ -381,7 +347,6 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
     cfg.output_dir.  A prebuilt context may be passed to reuse the trained
     reference models.
     """
-    threads = resolve_threads(cfg.thread_count)
     if ctx is None:
         ctx = build_scenario(cfg)
     scenario_name = _scenario_name(cfg.scenario)
@@ -392,7 +357,7 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
         ("original", ctx.theta_o, ctx.visits_o, ctx.rte_o),
         ("retrained", ctx.theta_r, ctx.visits_r, ctx.rte_r),
     ):
-        ev = evaluate_model(ctx, theta, threads)
+        ev = evaluate_model(ctx, theta)
         reports.append(MetricsReport(
             method=label, scenario=scenario_name, seed=cfg.master_seed,
             status="ok", sample_visits=visits, rte_seconds=rte,
@@ -411,7 +376,7 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
             try:
                 result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
                 rte = time.perf_counter() - t0
-                ev = evaluate_model(ctx, result.params, threads)
+                ev = evaluate_model(ctx, result.params)
                 prov = {"repeat": rep, "role": "unlearned",
                         "related_dataset": cfg.scenario.related_dataset}
                 prov.update(result.stats)
@@ -432,10 +397,9 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
 
     if emit:
         out = Path(cfg.output_dir)
-        # output_dir and thread_count are environmental, not experimental;
-        # leaving them out keeps report.json a pure function of the science.
-        echo = {k: v for k, v in cfg.to_dict().items()
-                if k not in ("output_dir", "thread_count")}
+        # output_dir is environmental, not experimental; leaving it out
+        # keeps report.json a pure function of the science.
+        echo = {k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
         emit_report(reports, out, config_echo=echo)
         _export_probe_features(ctx, models, out / "features")
     return reports, models
@@ -549,7 +513,6 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
     m_idx, mcfg = _find_method(cfg, method)
     if ctx is None:
         ctx = build_scenario(cfg)
-    threads = resolve_threads(cfg.thread_count)
     seed = _method_seed(cfg.master_seed, m_idx, 0)
     grid = []
     for lr in lr_grid:
@@ -559,9 +522,9 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
                                                  lr=float(lr), epochs=int(ep)))
             try:
                 result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-                ev = evaluate_model(ctx, result.params, threads)
+                ev = evaluate_model(ctx, result.params)
                 row.append(ev["hlr"])
-            except Exception:
+            except (DivergenceError, DegenerateInputError):
                 row.append(float("nan"))
         grid.append(row)
     buf = io.StringIO()
@@ -599,7 +562,7 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
             rows.append((float(sigma), knn,
                          compute_cka(feats_probe, ctx.probe_feats_r[name]),
                          compute_cka(feats_probe, ctx.probe_feats_o[name])))
-        except Exception:
+        except (DivergenceError, DegenerateInputError):
             rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -183,7 +183,15 @@ def _frobenius_rescale(x: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    # A norm overflows to inf above about 1e154; cosine is scale-invariant,
+    # so such rows are first divided by their own peak.
+    big = ~np.isfinite(norms)
+    if big.any():
+        x = x.copy()
+        x[big] /= np.abs(x[big]).max(axis=1, keepdims=True)
+        norms[big] = np.linalg.norm(x[big], axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return x / safe[:, None]
 

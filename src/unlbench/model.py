@@ -18,9 +18,9 @@ from . import ubm
 from .data import Dataset
 from .errors import ConfigError, DegenerateInputError, DivergenceError, LabelError, ShapeError
 from .rng import make_rng
+from .serial import ConfigDict
 
 BLOCKS = ("W1", "b1", "W2", "b2", "Whead", "bhead")
-ENCODER_BLOCKS = ("W1", "b1", "W2", "b2")
 
 # Stream ids under a TrainConfig seed.  Unlearning methods reserve ids >= 3.
 STREAM_SHUFFLE = 1
@@ -42,9 +42,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(*(getattr(self, b).copy() for b in BLOCKS))
 
-    def blocks(self):
-        return {b: getattr(self, b) for b in BLOCKS}
-
     @property
     def ambient_dim(self) -> int:
         return self.W1.shape[0]
@@ -65,7 +62,7 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigDict):
     lr: float = 0.1
     epochs: int = 30
     batch_size: int = 64
@@ -87,22 +84,6 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.grad_noise_sigma < 0:
             raise ConfigError("grad_noise_sigma must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "nesterov": self.nesterov,
-            "seed": self.seed,
-            "grad_noise_sigma": self.grad_noise_sigma,
-            "freeze_encoder": self.freeze_encoder,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**{k: d[k] for k in TrainConfig().to_dict() if k in d})
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -270,25 +251,49 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
+def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = None) -> tuple:
+    """The SGD driver every training and unlearning loop runs on.
+
+    steps(work, state) is a generator over the live working copy that yields
+    (grads, loss, rows, sign) once per update; it computes each gradient
+    after the previous update, so every stream draws in a fixed order.
+    Returns (params, sample_visits).  Raises DivergenceError with the step
+    index at the first non-finite loss or parameter.
+    """
+    work = params.copy()
+    if cfg.epochs == 0:
+        return work, 0
+    state = SgdState.create(work, cfg)
+    visits = 0
+    for grads, loss, rows, sign in steps(work, state):
+        if not np.isfinite(loss):
+            raise DivergenceError(state.step)
+        apply_sgd_step(work, grads, state, cfg, sign=sign, mask=mask)
+        visits += rows
+    check_finite(work, state.step)
+    return work, visits
+
+
+def cross_entropy_steps(x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
+                        sign: float = 1.0):
+    """Minibatch cross-entropy steps over shuffled epochs of x for sgd_loop;
+    labels_for_epoch(epoch) supplies the targets."""
+    def steps(work, state):
+        for epoch in range(cfg.epochs):
+            y = labels_for_epoch(epoch)
+            for idx in epoch_batches(x.shape[0], cfg.batch_size, state.shuffle_rng):
+                grads, loss = grad_cross_entropy(work, x[idx], y[idx], cfg.freeze_encoder)
+                yield grads, loss, idx.size, sign
+    return steps
+
+
 def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParams:
     """Minibatch SGD on cross-entropy; returns updated parameters.
 
     Runs epochs * ceil(N / batch_size) steps.  Raises DivergenceError with
     the step index if the loss goes non-finite.
     """
-    work = params.copy()
-    if cfg.epochs == 0 or dataset.n == 0:
-        return work
-    state = SgdState.create(work, cfg)
-    for _ in range(cfg.epochs):
-        for idx in epoch_batches(dataset.n, cfg.batch_size, state.shuffle_rng):
-            grads, loss = grad_cross_entropy(
-                work, dataset.X[idx], dataset.y[idx], cfg.freeze_encoder
-            )
-            if not np.isfinite(loss):
-                raise DivergenceError(state.step)
-            apply_sgd_step(work, grads, state, cfg)
-    check_finite(work, state.step)
+    work, _ = sgd_loop(params, cfg, cross_entropy_steps(dataset.X, lambda _: dataset.y, cfg))
     return work
 
 

@@ -14,26 +14,28 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, ForgetSplit
-from .errors import ConfigError, DegenerateInputError, DivergenceError
+from .errors import ConfigError, DegenerateInputError
 from .model import (
     BLOCKS,
+    DEFAULT_FEAT,
+    DEFAULT_HIDDEN,
     MlpParams,
-    SgdState,
     TrainConfig,
-    apply_sgd_step,
     backward,
-    check_finite,
     cross_entropy_grad_logits,
+    cross_entropy_steps,
     epoch_batches,
     forward,
     grad_cross_entropy,
     init_params,
     log_softmax,
+    sgd_loop,
     sgd_train,
     softmax,
     _forward_cache,
 )
 from .rng import make_rng
+from .serial import ConfigDict
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +47,7 @@ STREAM_RETAIN = 4
 
 
 @dataclass(frozen=True)
-class UnlearnConfig:
+class UnlearnConfig(ConfigDict):
     method: str
     base: TrainConfig = field(default_factory=TrainConfig)
     saliency_fraction: float = 0.5
@@ -69,27 +71,6 @@ class UnlearnConfig:
             raise ConfigError("scrub step counts must be >= 0")
         if not 0.0 <= self.covariance_shrinkage <= 1.0:
             raise ConfigError("covariance_shrinkage must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "base": self.base.to_dict(),
-            "saliency_fraction": self.saliency_fraction,
-            "distill_temperature": self.distill_temperature,
-            "contrast_temperature": self.contrast_temperature,
-            "retain_loss_weight": self.retain_loss_weight,
-            "scrub_max_steps_per_epoch": self.scrub_max_steps_per_epoch,
-            "scrub_min_steps_per_epoch": self.scrub_min_steps_per_epoch,
-            "covariance_shrinkage": self.covariance_shrinkage,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "UnlearnConfig":
-        d = dict(d)
-        base = TrainConfig.from_dict(d.pop("base", {}))
-        keys = {k for k in UnlearnConfig("FT").to_dict() if k not in ("method", "base")}
-        return UnlearnConfig(method=d["method"], base=base,
-                             **{k: v for k, v in d.items() if k in keys})
 
     def with_seed(self, seed: int) -> "UnlearnConfig":
         return replace(self, base=self.base.with_seed(seed))
@@ -177,27 +158,6 @@ class _BatchCycler:
         return out
 
 
-def _ce_loop(theta: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
-             sign: float = 1.0, mask: dict | None = None) -> tuple:
-    """Minibatch cross-entropy loop; labels_for_epoch(epoch) supplies targets."""
-    work = theta.copy()
-    n = x.shape[0]
-    if cfg.epochs == 0 or n == 0:
-        return work, 0
-    state = SgdState.create(work, cfg)
-    visits = 0
-    for epoch in range(cfg.epochs):
-        y = labels_for_epoch(epoch)
-        for idx in epoch_batches(n, cfg.batch_size, state.shuffle_rng):
-            grads, loss = grad_cross_entropy(work, x[idx], y[idx], cfg.freeze_encoder)
-            if not np.isfinite(loss):
-                raise DivergenceError(state.step)
-            apply_sgd_step(work, grads, state, cfg, sign=sign, mask=mask)
-            visits += idx.size
-    check_finite(work, state.step)
-    return work, visits
-
-
 def unlearn_ft(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Fine-tune on the retain set only; forgetting happens by drift."""
     params = sgd_train(theta_o, dr, cfg.base)
@@ -208,7 +168,8 @@ def unlearn_ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnRe
     """Gradient ascent on the forget set's cross-entropy."""
     if df.n == 0:
         raise DegenerateInputError("gradient ascent needs a nonempty forget set")
-    params, visits = _ce_loop(theta_o, df.X, lambda epoch: df.y, cfg.base, sign=-1.0)
+    params, visits = sgd_loop(theta_o, cfg.base,
+                              cross_entropy_steps(df.X, lambda _: df.y, cfg.base, sign=-1.0))
     return UnlearnResult(params, visits)
 
 
@@ -225,7 +186,7 @@ def _rl_loop(theta_o, df, cfg: UnlearnConfig, mask=None) -> tuple:
     def labels(_epoch):
         return _random_relabel(df.y, num_classes, rel_rng)
 
-    return _ce_loop(theta_o, df.X, labels, cfg.base, mask=mask)
+    return sgd_loop(theta_o, cfg.base, cross_entropy_steps(df.X, labels, cfg.base), mask=mask)
 
 
 def unlearn_rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
@@ -255,7 +216,8 @@ def unlearn_pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnRe
     if df.n == 0:
         raise DegenerateInputError("pseudo labeling needs a nonempty forget set")
     targets = pseudo_labels(theta_o, df.X, np.unique(df.y))
-    params, visits = _ce_loop(theta_o, df.X, lambda epoch: targets, cfg.base)
+    params, visits = sgd_loop(theta_o, cfg.base,
+                              cross_entropy_steps(df.X, lambda _: targets, cfg.base))
     return UnlearnResult(params, visits)
 
 
@@ -297,28 +259,17 @@ def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> Unlear
     return UnlearnResult(params, visits, {"masked_parameters": masked_count})
 
 
-def _two_set_loop(theta_o, df, dr, cfg: UnlearnConfig, step_fn) -> tuple:
-    """Shared driver: one forget batch plus one retain batch per step.
-
-    step_fn(work, f_idx, r_idx) must return (grads, loss).
-    """
-    work = theta_o.copy()
-    if cfg.base.epochs == 0:
-        return work, 0, SgdState.create(work, cfg.base)
-    state = SgdState.create(work, cfg.base)
-    retain = _BatchCycler(dr.n, cfg.base.batch_size,
-                          make_rng(cfg.base.seed, STREAM_RETAIN))
-    visits = 0
-    for _ in range(cfg.base.epochs):
-        for f_idx in epoch_batches(df.n, cfg.base.batch_size, state.shuffle_rng):
-            r_idx = retain.next()
-            grads, loss = step_fn(work, f_idx, r_idx)
-            if not np.isfinite(loss):
-                raise DivergenceError(state.step)
-            apply_sgd_step(work, grads, state, cfg.base)
-            visits += f_idx.size + r_idx.size
-    check_finite(work, state.step)
-    return work, visits, state
+def _two_set_steps(df: Dataset, dr: Dataset, cfg: TrainConfig, step_fn):
+    """sgd_loop steps over shuffled forget batches, each paired with retain
+    rows: step_fn(work, f_idx, retain) draws its own retain batch from the
+    endless retain cycler and returns (grads, loss, retain_rows)."""
+    def steps(work, state):
+        retain = _BatchCycler(dr.n, cfg.batch_size, make_rng(cfg.seed, STREAM_RETAIN))
+        for _ in range(cfg.epochs):
+            for f_idx in epoch_batches(df.n, cfg.batch_size, state.shuffle_rng):
+                grads, loss, r_rows = step_fn(work, f_idx, retain)
+                yield grads, loss, f_idx.size + r_rows, 1.0
+    return steps
 
 
 def _add_grads(a: dict, b: dict, weight: float = 1.0) -> dict:
@@ -358,6 +309,23 @@ def _realignment_step(work, x_f, dr, r_idx, centroids, cfg, freeze):
     return _add_grads(grads, grads_r, w), loss_f + w * loss_r
 
 
+def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) -> UnlearnResult:
+    """DUCK and SCAR: realign forget features onto frozen retain centroids
+    built by build_centroids(theta_o, dr, classes)."""
+    if df.n == 0 or dr.n == 0:
+        raise DegenerateInputError(f"{name} needs nonempty forget and retain sets")
+    centroids = build_centroids(theta_o, dr, sorted(set(dr.y.tolist())))
+
+    def step(work, f_idx, retain):
+        r_idx = retain.next()
+        grads, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg,
+                                        cfg.base.freeze_encoder)
+        return grads, loss, r_idx.size
+
+    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step))
+    return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
+
+
 def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
                  cfg: UnlearnConfig) -> UnlearnResult:
     """Push forget features onto the nearest retained-class centroid.
@@ -365,34 +333,17 @@ def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
     Centroids come from theta_o's features on the retain set and stay
     frozen; the nearest centroid is re-chosen every step.
     """
-    if df.n == 0 or dr.n == 0:
-        raise DegenerateInputError("DUCK needs nonempty forget and retain sets")
-    centroids = compute_centroids(theta_o, dr, sorted(set(dr.y.tolist())))
-    freeze = cfg.base.freeze_encoder
-
-    def step(work, f_idx, r_idx):
-        return _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg, freeze)
-
-    params, visits, _ = _two_set_loop(theta_o, df, dr, cfg, step)
-    return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
+    return _realign(theta_o, df, dr, cfg, "DUCK", compute_centroids)
 
 
 def unlearn_scar(theta_o: MlpParams, df: Dataset, dr: Dataset,
                  cfg: UnlearnConfig) -> UnlearnResult:
     """DUCK's realignment with squared Mahalanobis distance under the shared
     shrunk covariance of theta_o's retain features."""
-    if df.n == 0 or dr.n == 0:
-        raise DegenerateInputError("SCAR needs nonempty forget and retain sets")
-    centroids = compute_shared_covariance(
-        theta_o, dr, sorted(set(dr.y.tolist())), cfg.covariance_shrinkage
-    )
-    freeze = cfg.base.freeze_encoder
+    def build(params, dataset, classes):
+        return compute_shared_covariance(params, dataset, classes, cfg.covariance_shrinkage)
 
-    def step(work, f_idx, r_idx):
-        return _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg, freeze)
-
-    params, visits, _ = _two_set_loop(theta_o, df, dr, cfg, step)
-    return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
+    return _realign(theta_o, df, dr, cfg, "SCAR", build)
 
 
 def contrastive_loss_grad(feats_a: np.ndarray, labels_a: np.ndarray,
@@ -448,42 +399,36 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
     """
     if df.n == 0 or dr.n == 0:
         raise DegenerateInputError("CU needs nonempty forget and retain sets")
-    work = theta_o.copy()
-    if cfg.base.epochs == 0:
-        return UnlearnResult(work, 0)
     tau = cfg.contrast_temperature
     w = cfg.retain_loss_weight
     freeze = cfg.base.freeze_encoder
-    state = SgdState.create(work, cfg.base)
-    retain_cycler = _BatchCycler(dr.n, cfg.base.batch_size,
-                                 make_rng(cfg.base.seed, STREAM_RETAIN))
-    visits = 0
     skipped = 0
-    for _ in range(cfg.base.epochs):
-        for f_idx in epoch_batches(df.n, cfg.base.batch_size, state.shuffle_rng):
-            r_idx = retain_cycler.next()
-            if not (dr.y[r_idx][None, :] != df.y[f_idx][:, None]).any(axis=1).all():
-                r_idx = retain_cycler.next()
-            cache_a = _forward_cache(work, df.X[f_idx])
-            cache_r = _forward_cache(work, dr.X[r_idx])
-            loss_c, d_a, d_r, kept = contrastive_loss_grad(
-                cache_a["feats"], df.y[f_idx], cache_r["feats"], dr.y[r_idx], tau
-            )
-            skipped += int((~kept).sum())
-            loss_r, d_logits_r = cross_entropy_grad_logits(cache_r["logits"], dr.y[r_idx])
-            if not np.isfinite(loss_c + w * loss_r):
-                raise DivergenceError(state.step)
-            grads = _add_grads(
-                backward(work, cache_a, d_feats=d_a, freeze_encoder=freeze),
-                backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r,
-                         freeze_encoder=freeze),
-            )
-            apply_sgd_step(work, grads, state, cfg.base)
-            visits += f_idx.size + r_idx.size
-    check_finite(work, state.step)
+
+    def step(work, f_idx, retain):
+        nonlocal skipped
+        r_idx = retain.next()
+        if not (dr.y[r_idx][None, :] != df.y[f_idx][:, None]).any(axis=1).all():
+            r_idx = retain.next()
+        cache_a = _forward_cache(work, df.X[f_idx])
+        cache_r = _forward_cache(work, dr.X[r_idx])
+        loss_c, d_a, d_r, kept = contrastive_loss_grad(
+            cache_a["feats"], df.y[f_idx], cache_r["feats"], dr.y[r_idx], tau
+        )
+        skipped += int((~kept).sum())
+        loss_r, d_logits_r = cross_entropy_grad_logits(cache_r["logits"], dr.y[r_idx])
+        grads = _add_grads(
+            backward(work, cache_a, d_feats=d_a, freeze_encoder=freeze),
+            backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r,
+                     freeze_encoder=freeze),
+        )
+        return grads, loss_c + w * loss_r, r_idx.size
+
+    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step))
+    if cfg.base.epochs == 0:  # no step ran, so no skip count is reported
+        return UnlearnResult(params, 0)
     if skipped:
         log.info("CU skipped %d anchors lacking positives", skipped)
-    return UnlearnResult(work, visits, {"skipped_anchors": skipped})
+    return UnlearnResult(params, visits, {"skipped_anchors": skipped})
 
 
 def kl_teacher_student(teacher_logits: np.ndarray, student_logits: np.ndarray,
@@ -507,83 +452,65 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
     teacher, then descend retain KL plus retain cross-entropy, each epoch."""
     if df.n == 0 or dr.n == 0:
         raise DegenerateInputError("SCRUB needs nonempty forget and retain sets")
-    teacher = theta_o
     temp = cfg.distill_temperature
     freeze = cfg.base.freeze_encoder
-    work = theta_o.copy()
-    if cfg.base.epochs == 0:
-        return UnlearnResult(work, 0)
-    state = SgdState.create(work, cfg.base)
-    forget_cycler = _BatchCycler(df.n, cfg.base.batch_size, state.shuffle_rng)
-    retain_cycler = _BatchCycler(dr.n, cfg.base.batch_size,
-                                 make_rng(cfg.base.seed, STREAM_RETAIN))
-    visits = 0
-    for _ in range(cfg.base.epochs):
-        for _ in range(cfg.scrub_max_steps_per_epoch):
-            idx = forget_cycler.next()
-            _, t_logits = forward(teacher, df.X[idx])
-            cache = _forward_cache(work, df.X[idx])
-            kl, d_logits = kl_teacher_student(t_logits, cache["logits"], temp)
-            if not np.isfinite(kl):
-                raise DivergenceError(state.step)
-            grads = backward(work, cache, d_logits=d_logits, freeze_encoder=freeze)
-            apply_sgd_step(work, grads, state, cfg.base, sign=-1.0)
-            visits += idx.size
-        for _ in range(cfg.scrub_min_steps_per_epoch):
-            idx = retain_cycler.next()
-            _, t_logits = forward(teacher, dr.X[idx])
-            cache = _forward_cache(work, dr.X[idx])
-            kl, d_kl = kl_teacher_student(t_logits, cache["logits"], temp)
-            ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
-            if not np.isfinite(kl + ce):
-                raise DivergenceError(state.step)
-            grads = backward(work, cache, d_logits=d_kl + d_ce, freeze_encoder=freeze)
-            apply_sgd_step(work, grads, state, cfg.base)
-            visits += idx.size
-    check_finite(work, state.step)
-    return UnlearnResult(work, visits)
+    batch_size = cfg.base.batch_size
+
+    def steps(work, state):
+        forget = _BatchCycler(df.n, batch_size, state.shuffle_rng)
+        retain = _BatchCycler(dr.n, batch_size, make_rng(cfg.base.seed, STREAM_RETAIN))
+        for _ in range(cfg.base.epochs):
+            for _ in range(cfg.scrub_max_steps_per_epoch):
+                idx = forget.next()
+                _, t_logits = forward(theta_o, df.X[idx])
+                cache = _forward_cache(work, df.X[idx])
+                kl, d_logits = kl_teacher_student(t_logits, cache["logits"], temp)
+                grads = backward(work, cache, d_logits=d_logits, freeze_encoder=freeze)
+                yield grads, kl, idx.size, -1.0
+            for _ in range(cfg.scrub_min_steps_per_epoch):
+                idx = retain.next()
+                _, t_logits = forward(theta_o, dr.X[idx])
+                cache = _forward_cache(work, dr.X[idx])
+                kl, d_kl = kl_teacher_student(t_logits, cache["logits"], temp)
+                ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
+                grads = backward(work, cache, d_logits=d_kl + d_ce, freeze_encoder=freeze)
+                yield grads, kl + ce, idx.size, 1.0
+
+    params, visits = sgd_loop(theta_o, cfg.base, steps)
+    return UnlearnResult(params, visits)
 
 
-def retrain_gold(dr: Dataset, base_cfg: TrainConfig,
-                 hidden: int | None = None, feat_dim: int | None = None) -> UnlearnResult:
+def retrain_gold(dr: Dataset, base_cfg: TrainConfig, hidden: int = DEFAULT_HIDDEN,
+                 feat_dim: int = DEFAULT_FEAT) -> UnlearnResult:
     """Train from a fresh seeded initialization on the retain set only."""
     if dr.n == 0:
         raise DegenerateInputError("retraining needs a nonempty retain set")
-    kwargs = {}
-    if hidden is not None:
-        kwargs["hidden"] = hidden
-    if feat_dim is not None:
-        kwargs["feat_dim"] = feat_dim
-    params = init_params(dr.X.shape[1], dr.num_classes, base_cfg.seed, **kwargs)
+    params = init_params(dr.X.shape[1], dr.num_classes, base_cfg.seed, hidden, feat_dim)
     params = sgd_train(params, dr, base_cfg)
     return UnlearnResult(params, base_cfg.epochs * dr.n)
+
+
+def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+    return retrain_gold(dr, cfg.base, hidden=theta_o.W1.shape[1], feat_dim=theta_o.feat_dim)
+
+
+# Each method's procedure and the split sets it takes after theta_o.
+_PROCEDURES = {
+    "FT": (unlearn_ft, ("Dr",)),
+    "GA": (unlearn_ga, ("Df",)),
+    "RL": (unlearn_rl, ("Df",)),
+    "PL": (unlearn_pl, ("Df",)),
+    "SalUn": (unlearn_salun, ("Df",)),
+    "DUCK": (unlearn_duck, ("Df", "Dr")),
+    "CU": (unlearn_cu, ("Df", "Dr")),
+    "SCRUB": (unlearn_scrub, ("Df", "Dr")),
+    "SCAR": (unlearn_scar, ("Df", "Dr")),
+    "RETRAIN": (_retrain, ("Dr",)),
+}
 
 
 def run_unlearning(theta_o: MlpParams, split: ForgetSplit,
                    cfg: UnlearnConfig) -> UnlearnResult:
     """Dispatch a method over a forget split."""
-    m = cfg.method
-    if m == "FT":
-        return unlearn_ft(theta_o, split.Dr, cfg)
-    if m == "GA":
-        return unlearn_ga(theta_o, split.Df, cfg)
-    if m == "RL":
-        return unlearn_rl(theta_o, split.Df, cfg)
-    if m == "PL":
-        return unlearn_pl(theta_o, split.Df, cfg)
-    if m == "SalUn":
-        return unlearn_salun(theta_o, split.Df, cfg)
-    if m == "DUCK":
-        return unlearn_duck(theta_o, split.Df, split.Dr, cfg)
-    if m == "CU":
-        return unlearn_cu(theta_o, split.Df, split.Dr, cfg)
-    if m == "SCRUB":
-        return unlearn_scrub(theta_o, split.Df, split.Dr, cfg)
-    if m == "SCAR":
-        return unlearn_scar(theta_o, split.Df, split.Dr, cfg)
-    if m == "RETRAIN":
-        return retrain_gold(
-            split.Dr, cfg.base,
-            hidden=theta_o.W1.shape[1], feat_dim=theta_o.feat_dim,
-        )
-    raise ConfigError(f"unknown method {m!r}")
+    procedure, sets = _PROCEDURES[cfg.method]
+    return procedure(theta_o, *(getattr(split, s) for s in sets), cfg)

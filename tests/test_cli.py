@@ -160,6 +160,33 @@ class TestExitCodes:
                      "--split", str(workspace / "split"),
                      "--out", "/tmp/x"]) == 1
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("train", "epoch", 3),           # a typo of epochs
+        ("train", "epochs", "3"),        # a string for an int
+        ("scenario", "n_forget", 6),     # every train class forgotten
+    ])
+    def test_bad_run_config_is_config_error(self, workspace, tmp_path, capsys,
+                                            block, key, value):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg.setdefault(block, {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_bare_block_configs_drop_version(self, workspace, tmp_path):
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"version": 1, "epochs": 1, "batch_size": 16}))
+        assert main(["train", "--data", str(workspace / "data" / "train"),
+                     "--config", str(bare), "--out", str(tmp_path / "ckpt")]) == 0
+        bare.write_text(json.dumps({"version": 1, "base": {"epochs": 1}}))
+        assert main(["unlearn", "--method", "PL",
+                     "--original", str(workspace / "ckpt" / "original"),
+                     "--split", str(workspace / "split"), "--config", str(bare),
+                     "--out", str(tmp_path / "pl")]) == 0
+        bare.write_text(json.dumps({"version": 1, **MINI_DATA}))
+        assert main(["gen-data", "--config", str(bare), "--out", str(tmp_path / "data")]) == 0
+
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["run", "--nope"]) == 1
 

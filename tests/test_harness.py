@@ -236,6 +236,25 @@ class TestSweeps:
         assert rows[0] == again[0]
         assert text.splitlines()[0] == "sigma,knn_acc,cka_ur,cka_uo"
 
+    @pytest.mark.parametrize("sweep", ["lr-epochs", "dp-noise"])
+    def test_only_run_failures_become_nan(self, monkeypatch, sweep):
+        import unlbench.harness as harness
+        from unlbench.errors import DivergenceError
+        cfg = mini_config()
+        ctx = build_scenario(cfg)
+
+        def run(raise_exc):
+            def fail(*_args):
+                raise raise_exc
+            monkeypatch.setattr(harness, "run_unlearning", fail)
+            if sweep == "lr-epochs":
+                return sweep_hyperparameters(cfg, "PL", [0.1], [1], ctx=ctx)[0][0]
+            return sweep_dp_noise(cfg, "PL", [0.0], ctx=ctx)[0][0][1:]
+
+        assert all(np.isnan(v) for v in run(DivergenceError(3)))
+        with pytest.raises(TypeError):
+            run(TypeError("a bug"))
+
     def test_unknown_method_rejected(self):
         cfg = mini_config()
         from unlbench.errors import ConfigError
@@ -266,3 +285,61 @@ class TestConfigSerialization:
         from unlbench.errors import ConfigError
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"data": {}})
+
+    def test_override_object_round_trips_through_json(self):
+        cfg = mini_config()
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def _valid_doc() -> dict:
+    return {
+        "version": 1,
+        "data": {"ambient_dim": 16, "num_train_classes": 6, "per_class_train": 10,
+                 "per_class_test": 5,
+                 "downstream_specs": [{"name": "d", "num_classes": 3, "per_class": 18}]},
+        "scenario": {"n_forget": 2},
+        "train": {"epochs": 3},
+        "methods": [{"method": "PL", "base": {"lr": 0.1}}, "GA"],
+    }
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+BAD_CONFIGS = {
+    "unknown-train-key": (_set(("train", "epoch"), 3), r"unknown key train\.epoch"),
+    "unknown-method-key": (_set(("methods", 0, "bse"), 2), r"unknown key methods\[0\]\.bse"),
+    "unknown-method-base-key": (_set(("methods", 0, "base", "epoch"), 2),
+                                r"methods\[0\]\.base\.epoch"),
+    "leftover-thread-count": (_set(("thread_count",), None), "unknown key thread_count"),
+    "string-for-int": (_set(("train", "epochs"), "3"), r"train\.epochs: expected int"),
+    "bool-for-float": (_set(("train", "lr"), True), r"train\.lr: expected float"),
+    "object-for-list": (_set(("data", "downstream_specs"), {}), "expected a list"),
+    "missing-spec-name": (_set(("data", "downstream_specs"), [{"num_classes": 3}]),
+                          r"missing key data\.downstream_specs\[0\]\.name"),
+    "n-forget-all-classes": (_set(("scenario", "n_forget"), 6), "n_forget"),
+    "two-probe-rows": (_set(("probe_rows",), 2), "probe_rows"),
+    "knn-floor": (_set(("data", "downstream_specs", 0, "per_class"), 7), "k-NN"),
+    "empty-downstream-specs": (_set(("data", "downstream_specs"), []), "downstream_specs"),
+}
+
+
+class TestStrictConfig:
+    def test_valid_doc_loads(self):
+        cfg = ExperimentConfig.from_dict(_valid_doc())
+        assert cfg.train.epochs == 3 and cfg.methods[0].base.lr == 0.1
+
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_bad_config_rejected_at_load(self, case):
+        from unlbench.errors import ConfigError
+        mutate, message = BAD_CONFIGS[case]
+        doc = _valid_doc()
+        mutate(doc)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(doc)

@@ -309,6 +309,17 @@ class TestKnn:
         y = np.repeat(np.arange(3), 20)
         assert compute_knn_accuracy(x, y, 5, 3) == compute_knn_accuracy(x, y, 5, 3)
 
+    def test_overflowing_rows_predict_as_scaled_down_rows(self):
+        # Row norms overflow above about 1e154; cosine k-NN must not see it.
+        rng = make_rng(5, 8)
+        protos = rng.standard_normal((3, 6))
+        x = np.vstack([p + 0.5 * rng.standard_normal((20, 6)) for p in protos]) * 1e200
+        y = np.repeat(np.arange(3), 20)
+        big = knn_predict(x[::2], y[::2], x[1::2], 5, 3)
+        small = knn_predict(x[::2] * 1e-190, y[::2], x[1::2] * 1e-190, 5, 3)
+        assert np.array_equal(big, small)
+        assert set(big.tolist()) == {0, 1, 2}
+
     def test_sparse_class_rejected_with_class_named(self):
         x = make_rng(2, 8).standard_normal((26, 3))
         y = np.array([0] * 20 + [1] * 6)

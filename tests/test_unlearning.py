@@ -1,6 +1,8 @@
 """Per-method contracts for the unlearning procedures."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,3 +449,49 @@ class TestMethodInvariants:
         b = run_unlearning(theta_o, split, cfg)
         assert params_equal(a.params, b.params)
         assert a.sample_visits == b.sample_visits
+
+
+# Base-config knobs the default report never exercises; each method runs
+# under every variant on the small scenario.
+GOLDEN_VARIANTS = {
+    "plain": {},
+    "freeze": {"freeze_encoder": True},
+    "nesterov-noise": {"nesterov": True, "momentum": 0.5, "grad_noise_sigma": 0.01},
+    "zero-epochs": {"epochs": 0},
+    "diverge": {"lr": 1e4, "epochs": 20, "momentum": 0.0},
+}
+GOLDEN_PATH = Path(__file__).parent / "data" / "method_hashes.json"
+
+
+def _outcome(theta_o, split, cfg) -> dict:
+    try:
+        res = run_unlearning(theta_o, split, cfg)
+    except DivergenceError as exc:
+        return {"error": "DivergenceError", "step": exc.step}
+    return {"hash": res.params.content_hash(), "sample_visits": res.sample_visits,
+            "stats": res.stats}
+
+
+def method_outcomes(theta_o, split) -> dict:
+    """content_hash, sample_visits and stats of every method and variant,
+    plus CU on a retain set that shares a forget class, which exercises its
+    retain-batch re-draw and skipped anchors."""
+    out = {}
+    for method in METHODS:
+        for name, knobs in GOLDEN_VARIANTS.items():
+            cfg = cfg_for(method, **knobs)
+            if method == "SCRUB":
+                cfg = replace(cfg, scrub_max_steps_per_epoch=2, scrub_min_steps_per_epoch=3)
+            out[f"{method}/{name}"] = _outcome(theta_o, split, cfg)
+    shared = split.Df.y == split.forget_classes[0]
+    dr = Dataset(np.vstack([split.Df.X[shared], split.Dr.X[:4]]),
+                 np.concatenate([split.Df.y[shared], split.Dr.y[:4]]), split.Dr.num_classes)
+    out["CU/overlap"] = _outcome(theta_o, replace(split, Dr=dr),
+                                 cfg_for("CU", batch_size=2, epochs=3))
+    return out
+
+
+class TestGoldenMethodHashes:
+    def test_every_method_matches_stored_outcome(self, scenario):
+        theta_o, split = scenario
+        assert method_outcomes(theta_o, split) == json.loads(GOLDEN_PATH.read_text())
