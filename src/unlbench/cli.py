@@ -8,7 +8,7 @@ with a top-level "version" field.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import (
@@ -43,6 +43,7 @@ from .model import (
     save_checkpoint,
     sgd_train,
 )
+from .serial import ConfigDict
 from .unlearning import run_unlearning
 
 
@@ -202,7 +203,7 @@ def _cmd_eval(args) -> int:
         unlearned.params,
         Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes),
         Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes),
-        split.Df, seed=args.seed,
+        split.Df,
     )
     report = MetricsReport(
         method=unlearned.provenance.get("role", "unlearned"),
@@ -226,23 +227,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class SweepSpec(ConfigDict):
+    """The optional "sweep" block of a sweep config."""
+    method: str | None = None
+    lr_grid: tuple[float, ...] = (0.005, 0.01, 0.05)
+    epoch_grid: tuple[int, ...] = (5, 10, 15)
+    sigma_grid: tuple[float, ...] = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 30.0)
+
+
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    sweep = doc.pop("sweep", {})
+    sweep = SweepSpec.from_dict(doc.pop("sweep", {}), "sweep")
     cfg = ExperimentConfig.from_dict(doc)
-    method = args.method or sweep.get("method")
+    method = args.method or sweep.method
     if not method:
         raise ConfigError("sweep needs a method (--method or config sweep.method)")
     out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "lr-epochs":
-        lr_grid = sweep.get("lr_grid", [0.005, 0.01, 0.05])
-        epoch_grid = sweep.get("epoch_grid", [5, 10, 15])
-        _, text = sweep_hyperparameters(cfg, method, lr_grid, epoch_grid)
+        _, text = sweep_hyperparameters(cfg, method, sweep.lr_grid, sweep.epoch_grid)
         path = out / f"sweep_lr_epochs_{method}.csv"
     else:
-        sigma_grid = sweep.get("sigma_grid", [0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 30.0])
-        _, text = sweep_dp_noise(cfg, method, sigma_grid)
+        _, text = sweep_dp_noise(cfg, method, sweep.sigma_grid)
         path = out / f"sweep_dp_noise_{method}.csv"
     path.write_text(text)
     print(f"sweep written to {path}")

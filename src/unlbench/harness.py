@@ -12,6 +12,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .metrics import (
     DownstreamRepr,
     MetricsReport,
     ReprScores,
+    cka_side,
     compute_agl,
     compute_agr,
     compute_cka,
@@ -37,6 +39,7 @@ from .metrics import (
     compute_knn_accuracy,
     logit_gaps,
     mia_efficacy,
+    split_accuracies,
 )
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
@@ -219,9 +222,10 @@ class ScenarioContext:
     split: ForgetSplit
     theta_o: MlpParams
     theta_r: MlpParams
-    probes: dict            # name -> probe inputs
-    probe_feats_o: dict     # name -> theta_o probe features
-    probe_feats_r: dict
+    probes: dict            # name -> probe inputs, ds.X[probe_idx[name]]
+    probe_idx: dict         # name -> probe row indices into the dataset
+    cka_o: dict             # name -> theta_o probe CkaSide
+    cka_r: dict             # name -> theta_r probe CkaSide
     knn_r: dict             # name -> retrained knn accuracy
     mia_member: Dataset
     mia_nonmember: Dataset
@@ -235,9 +239,12 @@ class ScenarioContext:
     def knn_seed(self) -> int:
         return derive_seed(self.cfg.master_seed, _S_KNN_SPLIT)
 
-    @property
-    def mia_seed(self) -> int:
-        return derive_seed(self.cfg.master_seed, _S_MIA)
+    @cached_property
+    def acc_r(self) -> tuple:
+        """theta_r's split_accuracies, computed on first use: the dp-noise
+        sweep never needs them, and their forward pass over a large retain
+        set would set its peak memory."""
+        return split_accuracies(self.theta_r, self.split)
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
@@ -271,19 +278,19 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     rte_r = time.perf_counter() - t0
     theta_r = res_r.params
 
-    probes = {}
+    probe_idx = {}
     for i, (name, ds) in enumerate(downstreams.items()):
         rng = make_rng(derive_seed(cfg.master_seed, _S_PROBE_BASE + i), 0)
-        idx = rng.choice(ds.n, size=min(cfg.probe_rows, ds.n), replace=False)
-        probes[name] = ds.X[idx]
+        probe_idx[name] = rng.choice(ds.n, size=min(cfg.probe_rows, ds.n), replace=False)
+    probes = {n: downstreams[n].X[idx] for n, idx in probe_idx.items()}
 
     knn_seed = derive_seed(cfg.master_seed, _S_KNN_SPLIT)
-    probe_feats_o = {n: forward(theta_o, x)[0] for n, x in probes.items()}
-    probe_feats_r = {n: forward(theta_r, x)[0] for n, x in probes.items()}
-    knn_r = {
-        n: compute_knn_accuracy(forward(theta_r, ds.X)[0], ds.y, 5, knn_seed)
-        for n, ds in downstreams.items()
-    }
+    cka_o = {n: cka_side(forward(theta_o, x)[0]) for n, x in probes.items()}
+    cka_r, knn_r = {}, {}
+    for n, ds in downstreams.items():
+        feats_r = forward(theta_r, ds.X)[0]
+        cka_r[n] = cka_side(feats_r[probe_idx[n]])
+        knn_r[n] = compute_knn_accuracy(feats_r, ds.y, 5, knn_seed)
 
     mia_rng = make_rng(derive_seed(cfg.master_seed, _S_MIA), 1)
     n_bal = min(split.Dr.n, split.Dr_te.n, 500)
@@ -294,33 +301,37 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
 
     return ScenarioContext(
         cfg=cfg, train=train, test=test, downstreams=downstreams, split=split,
-        theta_o=theta_o, theta_r=theta_r, probes=probes,
-        probe_feats_o=probe_feats_o, probe_feats_r=probe_feats_r, knn_r=knn_r,
+        theta_o=theta_o, theta_r=theta_r, probes=probes, probe_idx=probe_idx,
+        cka_o=cka_o, cka_r=cka_r, knn_r=knn_r,
         mia_member=mia_member, mia_nonmember=mia_nonmember,
         visits_o=cfg.train.epochs * train.n, visits_r=cfg.train.epochs * split.Dr.n,
         rte_o=rte_o, rte_r=rte_r, ranking=ranking,
     )
 
 
-def _downstream_repr(ctx: ScenarioContext, theta_u: MlpParams, name: str) -> DownstreamRepr:
+def _representation(ctx: ScenarioContext, theta_u: MlpParams, name: str) -> tuple:
+    """theta_u's k-NN accuracy and probe CkaSide on one downstream dataset,
+    from one forward pass over the whole dataset."""
     ds = ctx.downstreams[name]
-    feats_u_full, _ = forward(theta_u, ds.X)
-    knn_u = compute_knn_accuracy(feats_u_full, ds.y, 5, ctx.knn_seed)
-    feats_u_probe, _ = forward(theta_u, ctx.probes[name])
-    return DownstreamRepr(
-        knn_acc_u=knn_u,
-        knn_acc_r=ctx.knn_r[name],
-        g_knn=abs(knn_u - ctx.knn_r[name]),
-        cka_ur=compute_cka(feats_u_probe, ctx.probe_feats_r[name]),
-        cka_uo=compute_cka(feats_u_probe, ctx.probe_feats_o[name]),
-    )
+    feats, _ = forward(theta_u, ds.X)
+    knn = compute_knn_accuracy(feats, ds.y, 5, ctx.knn_seed)
+    return knn, cka_side(feats[ctx.probe_idx[name]])
 
 
 def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
     """All metrics of one unlearned (or reference) model against the context."""
-    per_dataset = {n: _downstream_repr(ctx, theta_u, n) for n in ctx.downstreams}
+    per_dataset = {}
+    for name in ctx.downstreams:
+        knn_u, side_u = _representation(ctx, theta_u, name)
+        per_dataset[name] = DownstreamRepr(
+            knn_acc_u=knn_u,
+            knn_acc_r=ctx.knn_r[name],
+            g_knn=abs(knn_u - ctx.knn_r[name]),
+            cka_ur=compute_cka(side_u, ctx.cka_r[name]),
+            cka_uo=compute_cka(side_u, ctx.cka_o[name]),
+        )
     scores = ReprScores(per_dataset)
-    gaps = logit_gaps(theta_u, ctx.theta_r, ctx.split)
+    gaps = logit_gaps(theta_u, ctx.acc_r, ctx.split)
     agl = compute_agl(gaps)
     agr = compute_agr(scores, ctx.cfg.scenario.kind, ctx.cfg.scenario.related_dataset)
     return {
@@ -329,8 +340,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
         "agl": agl,
         "agr": agr,
         "hlr": compute_hlr(agl, agr),
-        "mia": mia_efficacy(theta_u, ctx.mia_member, ctx.mia_nonmember,
-                            ctx.split.Df, seed=ctx.mia_seed),
+        "mia": mia_efficacy(theta_u, ctx.mia_member, ctx.mia_nonmember, ctx.split.Df),
     }
 
 
@@ -548,7 +558,6 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     if ctx is None:
         ctx = build_scenario(cfg)
     name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
-    ds = ctx.downstreams[name]
     seed = _method_seed(cfg.master_seed, m_idx, 0)
     rows = []
     for sigma in sigma_grid:
@@ -556,12 +565,9 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                                              grad_noise_sigma=float(sigma)))
         try:
             result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-            feats_full, _ = forward(result.params, ds.X)
-            knn = compute_knn_accuracy(feats_full, ds.y, 5, ctx.knn_seed)
-            feats_probe, _ = forward(result.params, ctx.probes[name])
-            rows.append((float(sigma), knn,
-                         compute_cka(feats_probe, ctx.probe_feats_r[name]),
-                         compute_cka(feats_probe, ctx.probe_feats_o[name])))
+            knn, side = _representation(ctx, result.params, name)
+            rows.append((float(sigma), knn, compute_cka(side, ctx.cka_r[name]),
+                         compute_cka(side, ctx.cka_o[name])))
         except (DivergenceError, DegenerateInputError):
             rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
     buf = io.StringIO()

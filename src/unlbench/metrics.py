@@ -18,6 +18,8 @@ from .model import MlpParams, accuracy, forward, softmax
 from .rng import make_rng
 
 SELF_HSIC_FLOOR = 1e-12
+# L2 weight of the MIA attack SVM; its bias is unregularized.
+SVM_L2 = 1e-3
 
 
 @dataclass
@@ -140,38 +142,48 @@ def compute_hlr(agl: float, agr: float) -> float:
     return 2.0 / (1.0 / agl + 1.0 / agr)
 
 
-def compute_cka(xa: np.ndarray, xb: np.ndarray, literal_form: bool = False) -> float:
-    """Linear CKA between two feature matrices on the same samples.
+@dataclass(frozen=True)
+class CkaSide:
+    """One side of a CKA comparison, prepared once: the Frobenius-rescaled
+    features, their double-centered Gram matrix and its self-HSIC."""
+    x: np.ndarray
+    gram: np.ndarray
+    self_hsic: float
+
+
+def cka_side(x: np.ndarray, name: str = "features") -> CkaSide:
+    """Prepare a feature matrix for compute_cka.
+
+    A reference side (theta_r or theta_o on a probe set) scored against many
+    models is built once and passed to compute_cka in place of its features.
+    """
+    x = as_matrix(x, name)
+    if x.shape[0] < 3:
+        raise DegenerateInputError("CKA needs at least 3 rows")
+    # Scale invariance lets us normalize away overflow from collapsed
+    # models whose feature magnitudes are astronomical but finite.
+    x = _frobenius_rescale(x)
+    k = center_gram(gram_linear(x))
+    return CkaSide(x, k, hsic_centered(k, k))
+
+
+def compute_cka(xa: np.ndarray | CkaSide, xb: np.ndarray | CkaSide) -> float:
+    """Linear CKA between two feature matrices (or prepared CkaSides) on the
+    same samples.
 
     Standard scalar form HSIC(Ka,Kb) / sqrt(HSIC(Ka,Ka) * HSIC(Kb,Kb));
-    bit-identical inputs score exactly 1.  literal_form instead squares the
-    numerator and both denominator terms, kept only for auditing since it is
-    not scale-invariant.
+    bit-identical inputs score exactly 1.  A side and the features it was
+    prepared from give bit-identical scores.
     """
-    xa = as_matrix(xa, "Xa")
-    xb = as_matrix(xb, "Xb")
-    if xa.shape[0] != xb.shape[0]:
-        raise ShapeError(f"row counts differ: {xa.shape[0]} vs {xb.shape[0]}")
-    if xa.shape[0] < 3:
-        raise DegenerateInputError("CKA needs at least 3 rows")
-    if not literal_form:
-        # Scale invariance lets us normalize away overflow from collapsed
-        # models whose feature magnitudes are astronomical but finite.
-        xa = _frobenius_rescale(xa)
-        xb = _frobenius_rescale(xb)
-    # Center each Gram once; the three HSIC terms share the centered pair.
-    ka = center_gram(gram_linear(xa))
-    kb = center_gram(gram_linear(xb))
-    h_ab = hsic_centered(ka, kb)
-    h_aa = hsic_centered(ka, ka)
-    h_bb = hsic_centered(kb, kb)
-    if h_aa < SELF_HSIC_FLOOR or h_bb < SELF_HSIC_FLOOR:
+    a = xa if isinstance(xa, CkaSide) else cka_side(xa, "Xa")
+    b = xb if isinstance(xb, CkaSide) else cka_side(xb, "Xb")
+    if a.x.shape[0] != b.x.shape[0]:
+        raise ShapeError(f"row counts differ: {a.x.shape[0]} vs {b.x.shape[0]}")
+    if a.self_hsic < SELF_HSIC_FLOOR or b.self_hsic < SELF_HSIC_FLOOR:
         return 0.0
-    if literal_form:
-        return h_ab ** 2 / (h_aa ** 2 * h_bb ** 2)
-    if xa.shape == xb.shape and np.array_equal(xa, xb):
+    if a.x.shape == b.x.shape and np.array_equal(a.x, b.x):
         return 1.0
-    return h_ab / np.sqrt(h_aa * h_bb)
+    return hsic_centered(a.gram, b.gram) / np.sqrt(a.self_hsic * b.self_hsic)
 
 
 def _frobenius_rescale(x: np.ndarray) -> np.ndarray:
@@ -275,11 +287,20 @@ def compute_agr(scores: ReprScores, scenario_kind: str,
     return (1.0 - mean_gap) * mean_cka
 
 
-def logit_gaps(theta_u: MlpParams, theta_r: MlpParams, split: ForgetSplit) -> LogitGaps:
-    """FA/RA/TFA/TRA of theta_u and absolute accuracy gaps to theta_r."""
-    parts = (split.Df, split.Dr, split.Df_te, split.Dr_te)
-    acc_u = [accuracy(theta_u, d) for d in parts]
-    acc_r = [accuracy(theta_r, d) for d in parts]
+def split_accuracies(params: MlpParams, split: ForgetSplit) -> tuple:
+    """Accuracy on Df, Dr, Df_te and Dr_te, in that order."""
+    return tuple(accuracy(params, d) for d in (split.Df, split.Dr, split.Df_te, split.Dr_te))
+
+
+def logit_gaps(theta_u: MlpParams, theta_r: MlpParams | tuple,
+               split: ForgetSplit) -> LogitGaps:
+    """FA/RA/TFA/TRA of theta_u and absolute accuracy gaps to theta_r.
+
+    theta_r is the retrained model or its split_accuracies, which a caller
+    scoring many models against one theta_r computes once.
+    """
+    acc_u = split_accuracies(theta_u, split)
+    acc_r = theta_r if isinstance(theta_r, tuple) else split_accuracies(theta_r, split)
     gaps = [abs(u - r) for u, r in zip(acc_u, acc_r)]
     return LogitGaps(*acc_u, *gaps)
 
@@ -291,7 +312,7 @@ def max_confidence(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def fit_linear_svm(features: np.ndarray, labels01: np.ndarray, seed: int,
-                   epochs: int = 200, l2: float = 1e-3) -> tuple:
+                   epochs: int = 200, l2: float = SVM_L2) -> tuple:
     """Hinge-loss SGD on a linear decision function (Pegasos-style schedule).
 
     features holds one attack feature per row, as a 1-D array or an (n, 1)
@@ -300,17 +321,11 @@ def fit_linear_svm(features: np.ndarray, labels01: np.ndarray, seed: int,
     is unregularized.  The loop runs on plain Python floats: with a single
     feature every update is the same IEEE operation, in the same order, as
     on 1-element numpy arrays, so (w, b) is bit-identical to the array form
-    at a small fraction of its cost.
+    at a small fraction of its cost.  It stops short of the optimum of its
+    objective; the MIA uses solve_linear_svm, the exact minimizer.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ShapeError(f"SVM features must be one column, got shape {x.shape}")
-    y = np.where(np.asarray(labels01) > 0, 1.0, -1.0)
-    if np.unique(y).size < 2:
-        raise DegenerateInputError("SVM training needs both classes present")
-    xs = x[:, 0].tolist()
+    x, y = _svm_inputs(features, labels01)
+    xs = x.tolist()
     ys = y.tolist()
     rng = make_rng(seed, 0)
     w = 0.0
@@ -329,13 +344,76 @@ def fit_linear_svm(features: np.ndarray, labels01: np.ndarray, seed: int,
     return np.array([w]), b
 
 
+def _svm_inputs(features, labels01) -> tuple:
+    """One feature column as a 1-D array and the labels as ±1."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ShapeError(f"SVM features must be one column, got shape {x.shape}")
+    y = np.where(np.asarray(labels01) > 0, 1.0, -1.0)
+    if np.unique(y).size < 2:
+        raise DegenerateInputError("SVM training needs both classes present")
+    return x[:, 0], y
+
+
+def solve_linear_svm(features: np.ndarray, labels01: np.ndarray) -> tuple:
+    """Exact minimizer of (λ/2)·w² + mean(max(0, 1 − y(w·x + b))), b free.
+
+    Takes and returns what fit_linear_svm does.  For a fixed w the hinge sum
+    is convex piecewise linear in b with breakpoints β_i = y_i − w·x_i; its
+    slope is −P plus the number of breakpoints below b, P the member count,
+    so every b in [β_(P), β_(P+1)] is optimal and the midpoint is taken.
+    The objective minimized over b is strictly convex in w, and F(0, 0) = 1
+    bounds |w*| by sqrt(2/λ), λ = SVM_L2, so a golden-section search on that
+    bracket finds w to within 1e-12.  Rows are put in a canonical order
+    first, so (w, b) does not depend on their order.
+
+    A feature with zero spread carries no membership signal; it gets
+    (w, b) = (0, 0), under which every row is predicted a non-member.
+    """
+    x, y = _svm_inputs(features, labels01)
+    if np.ptp(x) == 0.0:
+        return np.array([0.0]), 0.0
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    p = int((y > 0).sum())
+
+    def best_b(w: float) -> float:
+        beta = np.partition(y - w * x, (p - 1, p))
+        return 0.5 * (float(beta[p - 1]) + float(beta[p]))
+
+    def objective(w: float) -> float:
+        hinge = np.maximum(0.0, 1.0 - y * (w * x + best_b(w)))
+        return 0.5 * SVM_L2 * w * w + float(hinge.mean())
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -np.sqrt(2.0 / SVM_L2), np.sqrt(2.0 / SVM_L2)
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while hi - lo > 1e-12:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = objective(d)
+    w = 0.5 * (lo + hi)
+    return np.array([w]), best_b(w)
+
+
 def mia_efficacy(theta_u: MlpParams, dr_sample: Dataset, dtest_sample: Dataset,
-                 df: Dataset, seed: int = 0) -> float:
+                 df: Dataset) -> float:
     """Fraction of forget samples an SVM attacker calls non-members.
 
-    The attacker trains on max-confidence features with members from the
-    retain train sample (label 1) and non-members from unseen test data
-    (label 0), balanced; higher efficacy means more convincing forgetting.
+    The attacker fits a linear SVM (solve_linear_svm, solved exactly) on
+    max-confidence features with members from the retain train sample
+    (label 1) and non-members from unseen test data (label 0), balanced;
+    higher efficacy means more convincing forgetting.  When every attack
+    row has the same confidence the attack has no signal, and the efficacy
+    is 1.0: every forget row counts as a non-member.
     """
     if dr_sample.n == 0 or dtest_sample.n == 0 or df.n == 0:
         raise DegenerateInputError("MIA needs nonempty member, non-member, and forget sets")
@@ -351,7 +429,7 @@ def mia_efficacy(theta_u: MlpParams, dr_sample: Dataset, dtest_sample: Dataset,
     # Standardize with attack-training statistics; confidences cluster near
     # 1.0 and the hinge geometry needs unit-scale features to be usable.
     mu, sd = feats.mean(), max(float(feats.std()), 1e-12)
-    w, b = fit_linear_svm((feats - mu) / sd, labels, seed)
+    w, b = solve_linear_svm((feats - mu) / sd, labels)
     conf_f = (max_confidence(theta_u, df.X) - mu) / sd
     return float((conf_f * w[0] + b <= 0.0).mean())
 

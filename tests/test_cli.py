@@ -187,6 +187,21 @@ class TestExitCodes:
         bare.write_text(json.dumps({"version": 1, **MINI_DATA}))
         assert main(["gen-data", "--config", str(bare), "--out", str(tmp_path / "data")]) == 0
 
+    @pytest.mark.parametrize("block, message", [
+        ({"method": "PL", "lr_grids": [0.5], "epoch_grid": [1]}, "sweep.lr_grids"),
+        (["PL"], "sweep: expected an object"),
+    ])
+    def test_bad_sweep_block_is_config_error(self, workspace, tmp_path, capsys,
+                                             block, message):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["sweep"] = block
+        bad = tmp_path / "sweep.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(bad), "--kind", "lr-epochs",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["run", "--nope"]) == 1
 

@@ -17,12 +17,14 @@ from unlbench.metrics import (
     compute_hlr,
     compute_knn_accuracy,
     _frobenius_rescale,
+    cka_side,
     fit_linear_svm,
     knn_predict,
     last_layer_analysis,
     logit_gaps,
     max_confidence,
     mia_efficacy,
+    solve_linear_svm,
     stratified_split,
 )
 from unlbench.kernels import as_matrix, gram_linear, hsic
@@ -181,16 +183,6 @@ class TestCka:
         x = make_rng(5, 0).standard_normal((6, 3))
         assert compute_cka(np.ones((6, 2)), x) == 0.0
 
-    def test_literal_equation_form_behind_flag(self):
-        rng = make_rng(6, 0)
-        xa = rng.standard_normal((7, 3))
-        xb = rng.standard_normal((7, 4))
-        ka, kb = xa @ xa.T, xb @ xb.T
-        expected = hsic_double_sum(ka, kb) ** 2 / (
-            hsic_double_sum(ka, ka) ** 2 * hsic_double_sum(kb, kb) ** 2
-        )
-        assert abs(compute_cka(xa, xb, literal_form=True) - expected) <= 1e-9
-
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             compute_cka(np.ones((5, 2)), np.ones((6, 2)))
@@ -243,6 +235,28 @@ class TestCkaExactness:
     def test_identical_inputs_still_exactly_one(self):
         x = make_rng(8, 11).standard_normal((256, 16))
         assert compute_cka(x, x) == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prepared_sides_bit_identical(self, seed):
+        rng = make_rng(seed, 12)
+        xa = rng.standard_normal((256, 16))
+        xb = xa + 0.3 * rng.standard_normal((256, 16))
+        want = compute_cka(xa, xb)
+        assert compute_cka(cka_side(xa), cka_side(xb)) == want
+        assert compute_cka(xa, cka_side(xb)) == compute_cka(cka_side(xa), xb) == want
+        assert compute_cka(cka_side(xa), cka_side(xa)) == 1.0
+
+    def test_prepared_sides_of_collapsed_features_bit_identical(self):
+        rng = make_rng(9, 12)
+        direction = rng.standard_normal(16)
+        collapsed = 1e181 * (direction + 0.05 * rng.standard_normal((256, 16)))
+        related = collapsed / 1e181 + 0.05 * rng.standard_normal((256, 16))
+        want = compute_cka(collapsed, related)
+        assert 0.0 < want < 1.0
+        assert compute_cka(cka_side(collapsed), cka_side(related)) == want
+        flat = 1e181 * (direction + 1e-3 * rng.standard_normal((256, 16)))
+        assert compute_cka(cka_side(flat), cka_side(related)) == 0.0
+        assert compute_cka(flat, related) == 0.0
 
 
 def oracle_knn_accuracy(features, labels, k, split_seed):
@@ -342,7 +356,7 @@ class TestMia:
         nonmembers = Dataset(np.full((30, 1), 0.12), np.zeros(30, dtype=int), 2)
         forget = Dataset(np.full((20, 1), 0.1), np.ones(20, dtype=int), 2)
         assert max_confidence(model, members.X).min() > 0.999
-        eff = mia_efficacy(model, members, nonmembers, forget, seed=1)
+        eff = mia_efficacy(model, members, nonmembers, forget)
         assert eff >= 0.99
 
     def test_members_looking_forget_set_scores_zero(self):
@@ -350,21 +364,21 @@ class TestMia:
         members = Dataset(np.full((30, 1), 3.0), np.zeros(30, dtype=int), 2)
         nonmembers = Dataset(np.full((30, 1), 0.12), np.zeros(30, dtype=int), 2)
         forget = Dataset(np.full((20, 1), 3.0), np.ones(20, dtype=int), 2)
-        assert mia_efficacy(model, members, nonmembers, forget, seed=1) <= 0.01
+        assert mia_efficacy(model, members, nonmembers, forget) <= 0.01
 
     def test_unbalanced_sets_rejected(self):
         model = self._model()
         a = Dataset(np.ones((5, 1)), np.zeros(5, dtype=int), 2)
         b = Dataset(np.ones((6, 1)), np.zeros(6, dtype=int), 2)
         with pytest.raises(ConfigError):
-            mia_efficacy(model, a, b, a, seed=0)
+            mia_efficacy(model, a, b, a)
 
     def test_empty_set_rejected(self):
         model = self._model()
         a = Dataset(np.ones((5, 1)), np.zeros(5, dtype=int), 2)
         empty = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
         with pytest.raises(DegenerateInputError):
-            mia_efficacy(model, a, a, empty, seed=0)
+            mia_efficacy(model, a, a, empty)
 
     def test_svm_label_flip_symmetry(self):
         rng = make_rng(3, 9)
@@ -436,6 +450,72 @@ class TestSvmMatchesArrayOracle:
         w, b = fit_linear_svm(feats, labels, seed=5)
         w_ref, b_ref = pegasos_array_oracle(feats, labels, 5)
         assert w[0] == w_ref[0] and b == b_ref
+
+
+LAMBDA = 1e-3  # the attack SVM's regularization strength
+
+
+def svm_objective(w, b, feats, labels01):
+    y = np.where(labels01 > 0, 1.0, -1.0)
+    return 0.5 * LAMBDA * w * w + np.maximum(0.0, 1.0 - y * (w * feats + b)).mean()
+
+
+def grid_minimum(feats, labels01, ws):
+    """Least objective over the w grid, each w with its best b: the hinge
+    sum is piecewise linear in b, so b is searched over every breakpoint."""
+    y = np.where(labels01 > 0, 1.0, -1.0)
+    best = np.inf
+    for chunk in np.array_split(ws, max(1, ws.size // 1000)):
+        w = chunk[:, None]
+        bs = (y - w * feats)[:, :, None]          # (w, breakpoint, 1)
+        hinge = np.maximum(0.0, 1.0 - y * ((w * feats)[:, None, :] + bs)).mean(axis=2)
+        best = min(best, (0.5 * LAMBDA * chunk ** 2 + hinge.min(axis=1)).min())
+    return best
+
+
+class TestExactSvm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_worse_than_a_fine_w_grid(self, seed):
+        rng = make_rng(seed, 31)
+        n = 6 + seed
+        feats = np.concatenate([rng.normal(0.5, 1.0, n), rng.normal(-0.5, 1.0, n)])
+        labels = np.concatenate([np.ones(n), np.zeros(n)])
+        w, b = solve_linear_svm(feats, labels)
+        exact = svm_objective(w[0], b, feats, labels)
+        # |w*| <= sqrt(2 / LAMBDA); then 1e-4 apart around the solution.
+        ws = np.linspace(-np.sqrt(2 / LAMBDA), np.sqrt(2 / LAMBDA), 20001)
+        assert exact <= grid_minimum(feats, labels, ws) + 1e-9
+        near = w[0] + np.linspace(-0.05, 0.05, 1001)
+        assert exact <= grid_minimum(feats, labels, near) + 1e-9
+
+    def test_no_worse_than_pegasos(self):
+        feats, labels = standardized_attack_features(3, 375)
+        w, b = solve_linear_svm(feats, labels)
+        w_sgd, b_sgd = fit_linear_svm(feats, labels, seed=5)
+        assert svm_objective(w[0], b, feats, labels) \
+            <= svm_objective(w_sgd[0], b_sgd, feats, labels)
+
+    def test_row_order_does_not_matter(self):
+        feats, labels = standardized_attack_features(4, 120)
+        w, b = solve_linear_svm(feats, labels)
+        for k in range(3):
+            perm = make_rng(k, 32).permutation(labels.size)
+            w_p, b_p = solve_linear_svm(feats[perm], labels[perm])
+            assert w_p[0] == w[0] and b_p == b
+
+    def test_zero_spread_feature_gives_zero_and_full_efficacy(self):
+        w, b = solve_linear_svm(np.full(10, 0.3), np.arange(10) % 2)
+        assert w.shape == (1,) and w[0] == 0.0 and b == 0.0
+        # Every attack row has the same confidence: no membership signal.
+        model = TestMia()._model()
+        same = Dataset(np.full((30, 1), 3.0), np.zeros(30, dtype=int), 2)
+        assert mia_efficacy(model, same, same, same) == 1.0
+
+    def test_shape_and_class_checks(self):
+        with pytest.raises(ShapeError):
+            solve_linear_svm(np.ones((10, 2)), np.arange(10) % 2)
+        with pytest.raises(DegenerateInputError):
+            solve_linear_svm(np.arange(10.0), np.ones(10))
 
 
 class TestLogitGapsAndLastLayer:
