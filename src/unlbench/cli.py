@@ -23,6 +23,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .harness import (
+    MIN_PROBE_ROWS,
     ExperimentConfig,
     build_scenario,
     default_method_config,
@@ -169,6 +170,8 @@ def _cmd_eval(args) -> int:
     from .data import Dataset
     from .rng import make_rng
 
+    if args.probe_rows < MIN_PROBE_ROWS:
+        raise ConfigError(f"--probe-rows must be >= {MIN_PROBE_ROWS}, the fewest rows CKA takes")
     unlearned = load_checkpoint(args.unlearned)
     retrained = load_checkpoint(args.retrained)
     original = load_checkpoint(args.original)

@@ -37,6 +37,7 @@ from .metrics import (
     compute_cka,
     compute_hlr,
     compute_knn_accuracy,
+    knn_split,
     logit_gaps,
     mia_efficacy,
     split_accuracies,
@@ -56,6 +57,8 @@ _S_KNN_SPLIT = 60
 _S_METHOD_BASE = 1000
 
 MAX_REPEATS = 100
+# The fewest rows metrics.cka_side accepts.
+MIN_PROBE_ROWS = 3
 
 
 def default_method_config(method: str) -> UnlearnConfig:
@@ -136,8 +139,8 @@ class ExperimentConfig(ConfigDict):
                 f"n_forget {self.scenario.n_forget} must be below num_train_classes "
                 f"{self.data.num_train_classes}"
             )
-        if self.probe_rows < 3:
-            raise ConfigError("probe_rows must be >= 3 (CKA needs at least 3 rows)")
+        if self.probe_rows < MIN_PROBE_ROWS:
+            raise ConfigError(f"probe_rows must be >= {MIN_PROBE_ROWS}, the fewest rows CKA takes")
         if not self.data.downstream_specs:
             raise ConfigError("data.downstream_specs must name at least one dataset")
         for d in self.data.downstream_specs:
@@ -224,6 +227,7 @@ class ScenarioContext:
     theta_r: MlpParams
     probes: dict            # name -> probe inputs, ds.X[probe_idx[name]]
     probe_idx: dict         # name -> probe row indices into the dataset
+    knn_splits: dict        # name -> the dataset's KnnSplit
     cka_o: dict             # name -> theta_o probe CkaSide
     cka_r: dict             # name -> theta_r probe CkaSide
     knn_r: dict             # name -> retrained knn accuracy
@@ -234,10 +238,6 @@ class ScenarioContext:
     rte_o: float
     rte_r: float
     ranking: RankedClasses | None = None
-
-    @property
-    def knn_seed(self) -> int:
-        return derive_seed(self.cfg.master_seed, _S_KNN_SPLIT)
 
     @cached_property
     def acc_r(self) -> tuple:
@@ -285,12 +285,13 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     probes = {n: downstreams[n].X[idx] for n, idx in probe_idx.items()}
 
     knn_seed = derive_seed(cfg.master_seed, _S_KNN_SPLIT)
+    knn_splits = {n: knn_split(ds.y, 5, knn_seed) for n, ds in downstreams.items()}
     cka_o = {n: cka_side(forward(theta_o, x)[0]) for n, x in probes.items()}
     cka_r, knn_r = {}, {}
     for n, ds in downstreams.items():
         feats_r = forward(theta_r, ds.X)[0]
         cka_r[n] = cka_side(feats_r[probe_idx[n]])
-        knn_r[n] = compute_knn_accuracy(feats_r, ds.y, 5, knn_seed)
+        knn_r[n] = compute_knn_accuracy(feats_r, knn_splits[n])
 
     mia_rng = make_rng(derive_seed(cfg.master_seed, _S_MIA), 1)
     n_bal = min(split.Dr.n, split.Dr_te.n, 500)
@@ -302,7 +303,7 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     return ScenarioContext(
         cfg=cfg, train=train, test=test, downstreams=downstreams, split=split,
         theta_o=theta_o, theta_r=theta_r, probes=probes, probe_idx=probe_idx,
-        cka_o=cka_o, cka_r=cka_r, knn_r=knn_r,
+        knn_splits=knn_splits, cka_o=cka_o, cka_r=cka_r, knn_r=knn_r,
         mia_member=mia_member, mia_nonmember=mia_nonmember,
         visits_o=cfg.train.epochs * train.n, visits_r=cfg.train.epochs * split.Dr.n,
         rte_o=rte_o, rte_r=rte_r, ranking=ranking,
@@ -310,19 +311,21 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
 
 
 def _representation(ctx: ScenarioContext, theta_u: MlpParams, name: str) -> tuple:
-    """theta_u's k-NN accuracy and probe CkaSide on one downstream dataset,
-    from one forward pass over the whole dataset."""
-    ds = ctx.downstreams[name]
-    feats, _ = forward(theta_u, ds.X)
-    knn = compute_knn_accuracy(feats, ds.y, 5, ctx.knn_seed)
-    return knn, cka_side(feats[ctx.probe_idx[name]])
+    """theta_u's k-NN accuracy, probe CkaSide and probe features on one
+    downstream dataset, from one forward pass over the whole dataset."""
+    feats, _ = forward(theta_u, ctx.downstreams[name].X)
+    knn = compute_knn_accuracy(feats, ctx.knn_splits[name])
+    probe = feats[ctx.probe_idx[name]]
+    return knn, cka_side(probe), probe
 
 
 def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
-    """All metrics of one unlearned (or reference) model against the context."""
-    per_dataset = {}
+    """All metrics of one unlearned (or reference) model against the context,
+    plus under "probe_features" its probe features per downstream dataset,
+    which run_scenario exports."""
+    per_dataset, probes = {}, {}
     for name in ctx.downstreams:
-        knn_u, side_u = _representation(ctx, theta_u, name)
+        knn_u, side_u, probes[name] = _representation(ctx, theta_u, name)
         per_dataset[name] = DownstreamRepr(
             knn_acc_u=knn_u,
             knn_acc_r=ctx.knn_r[name],
@@ -341,6 +344,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
         "agr": agr,
         "hlr": compute_hlr(agl, agr),
         "mia": mia_efficacy(theta_u, ctx.mia_member, ctx.mia_nonmember, ctx.split.Df),
+        "probe_features": probes,
     }
 
 
@@ -353,27 +357,38 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
     """Execute the full benchmark; returns (reports, models).
 
     A failing method-repeat yields a failed report row instead of aborting
-    the run.  With emit=True, reports and probe features land in
-    cfg.output_dir.  A prebuilt context may be passed to reuse the trained
-    reference models.
+    the run.  With emit=True, reports land in cfg.output_dir, and each
+    model's probe features are written there as soon as it is evaluated.
+    A prebuilt context may be passed to reuse the trained reference models.
     """
     if ctx is None:
         ctx = build_scenario(cfg)
     scenario_name = _scenario_name(cfg.scenario)
+    out = Path(cfg.output_dir)
     reports = []
     models = {}
+
+    def export_probes(label: str, ev: dict) -> dict:
+        """ev less its probe features, which emit writes at once as UBM1,
+        the raw material for external visualization in place of t-SNE plots."""
+        probes = ev.pop("probe_features")
+        if emit:
+            directory = out / "features" / label
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, feats in probes.items():
+                ubm.write_matrix(directory / f"{name}.ubm1", feats)
+        return ev
 
     for label, theta, visits, rte in (
         ("original", ctx.theta_o, ctx.visits_o, ctx.rte_o),
         ("retrained", ctx.theta_r, ctx.visits_r, ctx.rte_r),
     ):
-        ev = evaluate_model(ctx, theta)
         reports.append(MetricsReport(
             method=label, scenario=scenario_name, seed=cfg.master_seed,
             status="ok", sample_visits=visits, rte_seconds=rte,
             provenance={"repeat": 0, "role": label,
                         "related_dataset": cfg.scenario.related_dataset},
-            **ev,
+            **export_probes(label, evaluate_model(ctx, theta)),
         ))
         models[label] = theta
 
@@ -382,36 +397,32 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
             seed = _method_seed(cfg.master_seed, m_idx, rep)
             run_cfg = mcfg.with_seed(seed)
             label = f"{mcfg.method}-r{rep}"
+            prov = {"repeat": rep, "role": "unlearned",
+                    "related_dataset": cfg.scenario.related_dataset}
             t0 = time.perf_counter()
             try:
                 result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
                 rte = time.perf_counter() - t0
                 ev = evaluate_model(ctx, result.params)
-                prov = {"repeat": rep, "role": "unlearned",
-                        "related_dataset": cfg.scenario.related_dataset}
-                prov.update(result.stats)
-                reports.append(MetricsReport(
-                    method=mcfg.method, scenario=scenario_name, seed=seed,
-                    status="ok", sample_visits=result.sample_visits,
-                    rte_seconds=rte, provenance=prov, **ev,
-                ))
-                models[label] = result.params
             except Exception as exc:  # failed repeats become rows, not aborts
                 reports.append(MetricsReport(
                     method=mcfg.method, scenario=scenario_name, seed=seed,
                     status=f"failed: {type(exc).__name__}: {exc}",
-                    rte_seconds=time.perf_counter() - t0,
-                    provenance={"repeat": rep, "role": "unlearned",
-                                "related_dataset": cfg.scenario.related_dataset},
+                    rte_seconds=time.perf_counter() - t0, provenance=prov,
                 ))
+                continue
+            reports.append(MetricsReport(
+                method=mcfg.method, scenario=scenario_name, seed=seed,
+                status="ok", sample_visits=result.sample_visits, rte_seconds=rte,
+                provenance={**prov, **result.stats}, **export_probes(label, ev),
+            ))
+            models[label] = result.params
 
     if emit:
-        out = Path(cfg.output_dir)
         # output_dir is environmental, not experimental; leaving it out
         # keeps report.json a pure function of the science.
         echo = {k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
         emit_report(reports, out, config_echo=echo)
-        _export_probe_features(ctx, models, out / "features")
     return reports, models
 
 
@@ -419,17 +430,6 @@ def _scenario_name(sc: ScenarioSpec) -> str:
     if sc.kind == "random":
         return f"random-{sc.n_forget}"
     return f"top-{sc.n_forget}-{sc.related_dataset}"
-
-
-def _export_probe_features(ctx: ScenarioContext, models: dict, directory: Path) -> None:
-    """Probe features per model as UBM1, the raw material for external
-    visualization in place of t-SNE plots."""
-    for label, params in models.items():
-        mdir = directory / label
-        mdir.mkdir(parents=True, exist_ok=True)
-        for name, probe in ctx.probes.items():
-            feats, _ = forward(params, probe)
-            ubm.write_matrix(mdir / f"{name}.ubm1", feats)
 
 
 def _fmt(x) -> str:
@@ -565,7 +565,7 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                                              grad_noise_sigma=float(sigma)))
         try:
             result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-            knn, side = _representation(ctx, result.params, name)
+            knn, side, _ = _representation(ctx, result.params, name)
             rows.append((float(sigma), knn, compute_cka(side, ctx.cka_r[name]),
                          compute_cka(side, ctx.cka_o[name])))
         except (DivergenceError, DegenerateInputError):

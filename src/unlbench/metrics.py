@@ -12,8 +12,9 @@ import numpy as np
 
 from .data import Dataset, ForgetSplit
 from .errors import ConfigError, DegenerateInputError, ShapeError
-# hsic stays importable here: perfbench/tracer.py times it under this name.
-from .kernels import as_matrix, center_gram, gram_linear, hsic, hsic_centered  # noqa: F401
+# gram_linear and hsic are imported only because perfbench/tracer.py hooks
+# them under these names; CKA does not call them.
+from .kernels import as_matrix, gram_linear, hsic  # noqa: F401
 from .model import MlpParams, accuracy, forward, softmax
 from .rng import make_rng
 
@@ -145,10 +146,10 @@ def compute_hlr(agl: float, agr: float) -> float:
 @dataclass(frozen=True)
 class CkaSide:
     """One side of a CKA comparison, prepared once: the Frobenius-rescaled
-    features, their double-centered Gram matrix and its self-HSIC."""
+    features x, their column-centered copy xc and ‖XcᵀXc‖_F."""
     x: np.ndarray
-    gram: np.ndarray
-    self_hsic: float
+    xc: np.ndarray
+    norm: float
 
 
 def cka_side(x: np.ndarray, name: str = "features") -> CkaSide:
@@ -163,27 +164,31 @@ def cka_side(x: np.ndarray, name: str = "features") -> CkaSide:
     # Scale invariance lets us normalize away overflow from collapsed
     # models whose feature magnitudes are astronomical but finite.
     x = _frobenius_rescale(x)
-    k = center_gram(gram_linear(x))
-    return CkaSide(x, k, hsic_centered(k, k))
+    xc = x - x.mean(axis=0)
+    return CkaSide(x, xc, float(np.linalg.norm(xc.T @ xc)))
 
 
 def compute_cka(xa: np.ndarray | CkaSide, xb: np.ndarray | CkaSide) -> float:
     """Linear CKA between two feature matrices (or prepared CkaSides) on the
     same samples.
 
-    Standard scalar form HSIC(Ka,Kb) / sqrt(HSIC(Ka,Ka) * HSIC(Kb,Kb));
-    bit-identical inputs score exactly 1.  A side and the features it was
-    prepared from give bit-identical scores.
+    Computed in feature space (Kornblith et al., 2019):
+    ‖XbcᵀXac‖²_F / (‖XacᵀXac‖_F ‖XbcᵀXbc‖_F), which equals the Gram form
+    HSIC(Ka,Kb) / sqrt(HSIC(Ka,Ka) * HSIC(Kb,Kb)) at O(n·d²) cost.  A side
+    whose self-HSIC ‖XcᵀXc‖²_F / (n-1)² falls below SELF_HSIC_FLOOR scores
+    0; bit-identical inputs score exactly 1.  A side and the features it
+    was prepared from give bit-identical scores.
     """
     a = xa if isinstance(xa, CkaSide) else cka_side(xa, "Xa")
     b = xb if isinstance(xb, CkaSide) else cka_side(xb, "Xb")
-    if a.x.shape[0] != b.x.shape[0]:
-        raise ShapeError(f"row counts differ: {a.x.shape[0]} vs {b.x.shape[0]}")
-    if a.self_hsic < SELF_HSIC_FLOOR or b.self_hsic < SELF_HSIC_FLOOR:
+    n = a.x.shape[0]
+    if n != b.x.shape[0]:
+        raise ShapeError(f"row counts differ: {n} vs {b.x.shape[0]}")
+    if min(a.norm, b.norm) ** 2 / (n - 1) ** 2 < SELF_HSIC_FLOOR:
         return 0.0
     if a.x.shape == b.x.shape and np.array_equal(a.x, b.x):
         return 1.0
-    return hsic_centered(a.gram, b.gram) / np.sqrt(a.self_hsic * b.self_hsic)
+    return float(np.linalg.norm(b.xc.T @ a.xc) ** 2 / (a.norm * b.norm))
 
 
 def _frobenius_rescale(x: np.ndarray) -> np.ndarray:
@@ -214,18 +219,21 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
 
     Neighbors are ordered by (distance, label, train index); vote ties go to
     the lowest class index.  Zero-norm rows keep similarity 0 to everything.
+    All queries are scored at once: the stacked matrix-vector products give
+    each query the same similarity bits as un_train @ query would, which a
+    single un_test @ un_train.T does not, and near-tied neighbors depend on
+    those bits.
     """
     un_train = _normalize_rows(np.asarray(train_x, dtype=np.float64))
     un_test = _normalize_rows(np.asarray(test_x, dtype=np.float64))
     labels = np.asarray(train_y, dtype=np.int64)
-    idx = np.arange(labels.size)
-    preds = np.empty(un_test.shape[0], dtype=np.int64)
-    for i in range(un_test.shape[0]):
-        dist = 1.0 - un_train @ un_test[i]
-        order = np.lexsort((idx, labels, dist))
-        votes = np.bincount(labels[order[:k]], minlength=num_classes)
-        preds[i] = int(np.argmax(votes))
-    return preds
+    dist = 1.0 - np.matmul(un_train[None], un_test[:, :, None])[..., 0]
+    keys = (np.broadcast_to(np.arange(labels.size), dist.shape),
+            np.broadcast_to(labels, dist.shape), dist)
+    nearest = labels[np.lexsort(keys, axis=-1)[:, :k]]
+    offsets = num_classes * np.arange(nearest.shape[0])[:, None]
+    votes = np.bincount((nearest + offsets).ravel(), minlength=offsets.size * num_classes)
+    return np.argmax(votes.reshape(-1, num_classes), axis=1)
 
 
 def stratified_split(labels: np.ndarray, train_frac: float, rng) -> tuple:
@@ -240,13 +248,20 @@ def stratified_split(labels: np.ndarray, train_frac: float, rng) -> tuple:
     return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
-def compute_knn_accuracy(features: np.ndarray, labels: np.ndarray,
-                         k: int = 5, split_seed: int = 0) -> float:
-    """Transfer accuracy of a k-NN classifier on an 80/20 stratified split."""
-    features = as_matrix(features, "features")
+@dataclass(frozen=True)
+class KnnSplit:
+    """The 80/20 stratified k-NN split of one label vector, drawn and
+    validated once; it depends only on the labels, k and the split seed."""
+    labels: np.ndarray
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    k: int
+    num_classes: int
+
+
+def knn_split(labels: np.ndarray, k: int = 5, split_seed: int = 0) -> KnnSplit:
+    """Draw the stratified split compute_knn_accuracy scores on."""
     labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] != labels.size:
-        raise ShapeError("features and labels disagree on sample count")
     rng = make_rng(split_seed, 0)
     train_idx, test_idx = stratified_split(labels, 0.8, rng)
     for c in np.unique(labels):
@@ -256,10 +271,24 @@ def compute_knn_accuracy(features: np.ndarray, labels: np.ndarray,
                 f"class {int(c)} has only {n_train} samples in the 80% split; "
                 f"need at least {k + 1}"
             )
-    num_classes = int(labels.max()) + 1
-    preds = knn_predict(features[train_idx], labels[train_idx],
-                        features[test_idx], k, num_classes)
-    return float((preds == labels[test_idx]).mean())
+    return KnnSplit(labels, train_idx, test_idx, k, int(labels.max()) + 1)
+
+
+def compute_knn_accuracy(features: np.ndarray, labels: np.ndarray | KnnSplit,
+                         k: int = 5, split_seed: int = 0) -> float:
+    """Transfer accuracy of a k-NN classifier on an 80/20 stratified split.
+
+    labels may be a KnnSplit prepared by knn_split, which a caller scoring
+    many feature sets on one dataset draws once; k and split_seed are then
+    the ones it was drawn with.
+    """
+    split = labels if isinstance(labels, KnnSplit) else knn_split(labels, k, split_seed)
+    features = as_matrix(features, "features")
+    if features.shape[0] != split.labels.size:
+        raise ShapeError("features and labels disagree on sample count")
+    preds = knn_predict(features[split.train_idx], split.labels[split.train_idx],
+                        features[split.test_idx], split.k, split.num_classes)
+    return float((preds == split.labels[split.test_idx]).mean())
 
 
 def compute_agr(scores: ReprScores, scenario_kind: str,

@@ -112,11 +112,16 @@ def init_params(ambient_dim: int, num_classes: int, seed: int,
     )
 
 
-def _forward_cache(params: MlpParams, x: np.ndarray):
+def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != params.ambient_dim:
         raise ShapeError(
             f"input must be N x {params.ambient_dim}, got {x.shape}"
         )
+
+
+def _forward_cache(params: MlpParams, x: np.ndarray):
+    """Forward pass keeping every activation backward needs."""
+    _check_input(params, x)
     a1 = x @ params.W1 + params.b1
     h1 = np.maximum(a1, 0.0)
     a2 = h1 @ params.W2 + params.b2
@@ -126,9 +131,16 @@ def _forward_cache(params: MlpParams, x: np.ndarray):
 
 
 def forward(params: MlpParams, x: np.ndarray):
-    """Return (features, logits) for a batch of inputs."""
-    cache = _forward_cache(params, np.asarray(x, dtype=np.float64))
-    return cache["feats"], cache["logits"]
+    """Return (features, logits) for a batch of inputs.
+
+    Inference only: it keeps no backprop cache, and its outputs are
+    bit-identical to _forward_cache's.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(params, x)
+    hidden = np.maximum(x @ params.W1 + params.b1, 0.0)
+    feats = np.maximum(hidden @ params.W2 + params.b2, 0.0)
+    return feats, feats @ params.Whead + params.bhead
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

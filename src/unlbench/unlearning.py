@@ -395,7 +395,7 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
 
     A retain batch that leaves some anchor without a positive is resampled
     once; anchors still lacking one are dropped from the contrastive mean
-    and counted in the stats.
+    and counted in the stats' skipped_anchors, present at every epoch count.
     """
     if df.n == 0 or dr.n == 0:
         raise DegenerateInputError("CU needs nonempty forget and retain sets")
@@ -424,8 +424,6 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
         return grads, loss_c + w * loss_r, r_idx.size
 
     params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step))
-    if cfg.base.epochs == 0:  # no step ran, so no skip count is reported
-        return UnlearnResult(params, 0)
     if skipped:
         log.info("CU skipped %d anchors lacking positives", skipped)
     return UnlearnResult(params, visits, {"skipped_anchors": skipped})

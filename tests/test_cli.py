@@ -202,6 +202,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("probe_rows", ["2", "0", "-1"])
+    def test_too_few_probe_rows_rejected_before_loading(self, workspace, tmp_path,
+                                                       capsys, probe_rows):
+        ckpt = str(workspace / "ckpt" / "original")
+        common = ["--split", str(workspace / "split"),
+                  "--downstreams", str(workspace / "data" / "d"),
+                  "--probe-rows", probe_rows]
+        # Loadable checkpoints would reach CKA's 3-row minimum at runtime.
+        assert main(["eval", "--unlearned", ckpt, "--retrained", ckpt,
+                     "--original", ckpt, *common]) == 1
+        assert "--probe-rows must be >= 3" in capsys.readouterr().err
+        # Missing checkpoints show the flag is checked before any load.
+        missing = str(tmp_path / "missing")
+        assert main(["eval", "--unlearned", missing, "--retrained", missing,
+                     "--original", missing, *common]) == 1
+
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["run", "--nope"]) == 1
 

@@ -10,6 +10,7 @@ from unlbench.model import (
     MlpParams,
     ModelCheckpoint,
     TrainConfig,
+    _forward_cache,
     accuracy,
     forward,
     grad_cross_entropy,
@@ -80,6 +81,21 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             forward(tiny_params(0), np.ones((2, 9)))
+        with pytest.raises(ShapeError):
+            _forward_cache(tiny_params(0), np.ones((2, 9)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inference_forward_bit_identical_to_training_cache(self, seed):
+        rng = make_rng(seed, 4)
+        p = init_params(160, 20, seed)
+        x = 3.0 * rng.standard_normal((int(rng.integers(1, 400)), 160))
+        feats, logits = forward(p, x)
+        cache = _forward_cache(p, x)
+        assert np.array_equal(feats, cache["feats"])
+        assert np.array_equal(logits, cache["logits"])
+        # Integer inputs are promoted to float64 as before.
+        feats_i, _ = forward(p, np.ones((3, 160), dtype=np.int64))
+        assert np.array_equal(feats_i, _forward_cache(p, np.ones((3, 160)))["feats"])
 
 
 class TestGradients:
