@@ -25,17 +25,20 @@ from .errors import ConfigError
 from .harness import (
     MIN_PROBE_ROWS,
     ExperimentConfig,
-    build_scenario,
+    ScenarioSpec,
     default_method_config,
-    emit_report,
     evaluate_model,
     method_config,
     run_scenario,
+    scenario_context,
     select_top_classes,
     sweep_dp_noise,
     sweep_hyperparameters,
 )
-from .metrics import MetricsReport, compute_agl, compute_agr, compute_hlr, logit_gaps, mia_efficacy
+from .metrics import MetricsReport
+# logit_gaps and mia_efficacy are imported only because perfbench/tracer.py
+# hooks them under these names; eval reaches them through the harness.
+from .metrics import logit_gaps, mia_efficacy  # noqa: F401
 from .model import (
     ModelCheckpoint,
     TrainConfig,
@@ -53,6 +56,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+
+def _count(text: str) -> int:
+    """An --n flag: a class count of at least 1, checked before any load."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _load_json(path) -> dict:
@@ -113,6 +124,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_split(args) -> int:
     train = load_dataset(args.train)
+    if args.n >= train.num_classes:
+        raise ConfigError(f"--n {args.n} must be below the train set's "
+                          f"{train.num_classes} classes")
     test = load_dataset(args.test)
     if args.kind == "random":
         split = split_random_forget(train, test, args.n, args.seed)
@@ -158,8 +172,10 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_select_top(args) -> int:
-    model = load_checkpoint(args.model)
     train = load_dataset(args.train)
+    if args.n > train.num_classes:
+        raise ConfigError(f"--n {args.n} exceeds the train set's {train.num_classes} classes")
+    model = load_checkpoint(args.model)
     downstream = load_dataset(args.downstream)
     ranking = select_top_classes(model.params, train, downstream, args.n)
     print(json.dumps([{"class": c, "score": s} for c, s in ranking.entries], indent=2))
@@ -167,52 +183,24 @@ def _cmd_select_top(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data import Dataset
-    from .rng import make_rng
-
     if args.probe_rows < MIN_PROBE_ROWS:
         raise ConfigError(f"--probe-rows must be >= {MIN_PROBE_ROWS}, the fewest rows CKA takes")
+    names = [Path(d).name for d in args.downstreams]
+    if args.scenario_kind == "top" and args.related not in names:
+        raise ConfigError(f"--scenario-kind top needs --related naming one of the "
+                          f"--downstreams {names}, got {args.related!r}")
     unlearned = load_checkpoint(args.unlearned)
-    retrained = load_checkpoint(args.retrained)
-    original = load_checkpoint(args.original)
     split = load_split(args.split)
-    downstreams = {Path(d).name: load_dataset(d) for d in args.downstreams}
-
-    from .metrics import DownstreamRepr, ReprScores, compute_cka, compute_knn_accuracy
-    from .model import forward
-
-    per_dataset = {}
-    for name, ds in downstreams.items():
-        rng = make_rng(args.seed, 0)
-        idx = rng.choice(ds.n, size=min(args.probe_rows, ds.n), replace=False)
-        probe_u = forward(unlearned.params, ds.X[idx])[0]
-        knn_u = compute_knn_accuracy(forward(unlearned.params, ds.X)[0], ds.y, 5, args.seed)
-        knn_r = compute_knn_accuracy(forward(retrained.params, ds.X)[0], ds.y, 5, args.seed)
-        per_dataset[name] = DownstreamRepr(
-            knn_acc_u=knn_u, knn_acc_r=knn_r, g_knn=abs(knn_u - knn_r),
-            cka_ur=compute_cka(probe_u, forward(retrained.params, ds.X[idx])[0]),
-            cka_uo=compute_cka(probe_u, forward(original.params, ds.X[idx])[0]),
-        )
-    scores = ReprScores(per_dataset)
-    gaps = logit_gaps(unlearned.params, retrained.params, split)
-    agl = compute_agl(gaps)
-    agr = compute_agr(scores, args.scenario_kind, args.related)
-
-    rng = make_rng(args.seed, 1)
-    n = min(split.Dr.n, split.Dr_te.n, 500)
-    mi = rng.choice(split.Dr.n, size=n, replace=False)
-    ni = rng.choice(split.Dr_te.n, size=n, replace=False)
-    mia = mia_efficacy(
-        unlearned.params,
-        Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes),
-        Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes),
-        split.Df,
+    ctx = scenario_context(
+        ScenarioSpec(args.scenario_kind, len(split.forget_classes), args.related),
+        args.seed, args.probe_rows,
+        {name: load_dataset(d) for name, d in zip(names, args.downstreams)}, split,
+        load_checkpoint(args.original).params, load_checkpoint(args.retrained).params,
     )
-    report = MetricsReport(
-        method=unlearned.provenance.get("role", "unlearned"),
-        scenario=args.scenario_kind, seed=args.seed, logit=gaps,
-        repr_scores=scores, agl=agl, agr=agr, hlr=compute_hlr(agl, agr), mia=mia,
-    )
+    ev = evaluate_model(ctx, unlearned.params)
+    del ev["probe_features"]
+    report = MetricsReport(method=unlearned.provenance.get("role", "unlearned"),
+                           scenario=args.scenario_kind, seed=args.seed, **ev)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -280,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--kind", choices=("random", "top"), default="random")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ranking", help="JSON ranking file for --kind top")
     p.add_argument("--out", required=True)
@@ -299,7 +287,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--downstream", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(fn=_cmd_select_top)
 
     p = sub.add_parser("eval", help="evaluate an unlearned checkpoint")
@@ -310,7 +298,7 @@ def build_parser() -> _Parser:
     p.add_argument("--downstreams", nargs="+", required=True)
     p.add_argument("--scenario-kind", choices=("random", "top"), default="random")
     p.add_argument("--related")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="the experiment's master seed")
     p.add_argument("--probe-rows", type=int, default=256)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eval)

@@ -218,9 +218,7 @@ def select_top_classes(params: MlpParams, train: Dataset, downstream: Dataset,
 @dataclass
 class ScenarioContext:
     """Everything reusable across method runs of one scenario."""
-    cfg: ExperimentConfig
-    train: Dataset
-    test: Dataset
+    scenario: ScenarioSpec
     downstreams: dict
     split: ForgetSplit
     theta_o: MlpParams
@@ -233,11 +231,10 @@ class ScenarioContext:
     knn_r: dict             # name -> retrained knn accuracy
     mia_member: Dataset
     mia_nonmember: Dataset
-    visits_o: int
-    visits_r: int
-    rte_o: float
-    rte_r: float
-    ranking: RankedClasses | None = None
+    visits_o: int = 0
+    visits_r: int = 0
+    rte_o: float = 0.0
+    rte_r: float = 0.0
 
     @cached_property
     def acc_r(self) -> tuple:
@@ -259,7 +256,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     )
     rte_o = time.perf_counter() - t0
 
-    ranking = None
     if cfg.scenario.kind == "random":
         split = split_random_forget(train, test, cfg.scenario.n_forget,
                                     derive_seed(cfg.master_seed, _S_SPLIT))
@@ -274,17 +270,31 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     retrain_cfg = UnlearnConfig(
         "RETRAIN", cfg.train.with_seed(derive_seed(cfg.master_seed, _S_RETRAIN))
     )
-    res_r = run_unlearning(theta_o, split, retrain_cfg)
+    theta_r = run_unlearning(theta_o, split, retrain_cfg).params
     rte_r = time.perf_counter() - t0
-    theta_r = res_r.params
 
+    return scenario_context(
+        cfg.scenario, cfg.master_seed, cfg.probe_rows, downstreams, split,
+        theta_o, theta_r, visits_o=cfg.train.epochs * train.n,
+        visits_r=cfg.train.epochs * split.Dr.n, rte_o=rte_o, rte_r=rte_r,
+    )
+
+
+def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
+                     downstreams: dict, split: ForgetSplit, theta_o: MlpParams,
+                     theta_r: MlpParams, **costs) -> ScenarioContext:
+    """The evaluation references of a scenario whose models exist: probe
+    rows, k-NN splits, the reference CKA sides, theta_r's k-NN accuracies
+    and the MIA sample, all drawn from master_seed's streams.  Downstream
+    datasets are numbered in the order given, which must be the config's.
+    costs are the reference models' visits_o, visits_r, rte_o and rte_r."""
     probe_idx = {}
     for i, (name, ds) in enumerate(downstreams.items()):
-        rng = make_rng(derive_seed(cfg.master_seed, _S_PROBE_BASE + i), 0)
-        probe_idx[name] = rng.choice(ds.n, size=min(cfg.probe_rows, ds.n), replace=False)
+        rng = make_rng(derive_seed(master_seed, _S_PROBE_BASE + i), 0)
+        probe_idx[name] = rng.choice(ds.n, size=min(probe_rows, ds.n), replace=False)
     probes = {n: downstreams[n].X[idx] for n, idx in probe_idx.items()}
 
-    knn_seed = derive_seed(cfg.master_seed, _S_KNN_SPLIT)
+    knn_seed = derive_seed(master_seed, _S_KNN_SPLIT)
     knn_splits = {n: knn_split(ds.y, 5, knn_seed) for n, ds in downstreams.items()}
     cka_o = {n: cka_side(forward(theta_o, x)[0]) for n, x in probes.items()}
     cka_r, knn_r = {}, {}
@@ -293,20 +303,18 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
         cka_r[n] = cka_side(feats_r[probe_idx[n]])
         knn_r[n] = compute_knn_accuracy(feats_r, knn_splits[n])
 
-    mia_rng = make_rng(derive_seed(cfg.master_seed, _S_MIA), 1)
+    mia_rng = make_rng(derive_seed(master_seed, _S_MIA), 1)
     n_bal = min(split.Dr.n, split.Dr_te.n, 500)
     mi = mia_rng.choice(split.Dr.n, size=n_bal, replace=False)
     ni = mia_rng.choice(split.Dr_te.n, size=n_bal, replace=False)
-    mia_member = Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes)
-    mia_nonmember = Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes)
 
     return ScenarioContext(
-        cfg=cfg, train=train, test=test, downstreams=downstreams, split=split,
+        scenario=scenario, downstreams=downstreams, split=split,
         theta_o=theta_o, theta_r=theta_r, probes=probes, probe_idx=probe_idx,
         knn_splits=knn_splits, cka_o=cka_o, cka_r=cka_r, knn_r=knn_r,
-        mia_member=mia_member, mia_nonmember=mia_nonmember,
-        visits_o=cfg.train.epochs * train.n, visits_r=cfg.train.epochs * split.Dr.n,
-        rte_o=rte_o, rte_r=rte_r, ranking=ranking,
+        mia_member=Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes),
+        mia_nonmember=Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes),
+        **costs,
     )
 
 
@@ -336,7 +344,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
     scores = ReprScores(per_dataset)
     gaps = logit_gaps(theta_u, ctx.acc_r, ctx.split)
     agl = compute_agl(gaps)
-    agr = compute_agr(scores, ctx.cfg.scenario.kind, ctx.cfg.scenario.related_dataset)
+    agr = compute_agr(scores, ctx.scenario.kind, ctx.scenario.related_dataset)
     return {
         "logit": gaps,
         "repr_scores": scores,

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand end-to-end, plus exit-code contracts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,40 @@ def test_eval_emits_metrics_json(workspace, capsys):
     assert 0.0 <= doc["mia"] <= 1.0
 
 
+def test_eval_reproduces_every_default_run_row(tmp_path):
+    """eval --seed <master seed> on run's own models, split and downstream
+    sets scores each of the default config's 11 rows exactly as run does."""
+    from unlbench.data import save_dataset, save_split
+    from unlbench.harness import ExperimentConfig, build_scenario, run_scenario
+    from unlbench.model import ModelCheckpoint, save_checkpoint
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
+    ctx = build_scenario(cfg)
+    reports, models = run_scenario(cfg, emit=False, ctx=ctx)
+    save_split(ctx.split, tmp_path / "split")
+    downstreams = []
+    for name, ds in ctx.downstreams.items():
+        save_dataset(ds, tmp_path / "data" / name)
+        downstreams.append(str(tmp_path / "data" / name))
+    for label, params in models.items():
+        save_checkpoint(ModelCheckpoint(params, {"role": label}), tmp_path / label)
+
+    keys = ("logit", "repr_scores", "agl", "agr", "hlr", "mia")
+    labels = ["original", "retrained"] + [f"{m.method}-r0" for m in cfg.methods]
+    assert len(reports) == len(labels) == 11
+    for label, report in zip(labels, reports):
+        out = tmp_path / f"{label}.json"
+        assert main(["eval", "--unlearned", str(tmp_path / label),
+                     "--retrained", str(tmp_path / "retrained"),
+                     "--original", str(tmp_path / "original"),
+                     "--split", str(tmp_path / "split"),
+                     "--downstreams", *downstreams,
+                     "--seed", str(cfg.master_seed), "--out", str(out)]) == 0
+        got, want = json.loads(out.read_text()), report.to_dict()
+        assert {k: got[k] for k in keys} == {k: want[k] for k in keys}, label
+
+
 def test_run_writes_reports(workspace, capsys):
     assert main(["run", "--config", str(workspace / "config.json")]) == 0
     out = workspace / "out"
@@ -217,6 +252,50 @@ class TestExitCodes:
         missing = str(tmp_path / "missing")
         assert main(["eval", "--unlearned", missing, "--retrained", missing,
                      "--original", missing, *common]) == 1
+
+    @pytest.mark.parametrize("related", [None, "nope"])
+    def test_top_eval_without_related_rejected_before_loading(self, workspace, tmp_path,
+                                                             capsys, related):
+        missing = str(tmp_path / "missing")
+        argv = ["eval", "--unlearned", missing, "--retrained", missing,
+                "--original", missing, "--split", missing,
+                "--downstreams", str(workspace / "data" / "d"), "--scenario-kind", "top"]
+        if related:
+            argv += ["--related", related]
+        assert main(argv) == 1
+        assert "--related" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["split", "select-top"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_rejected_before_loading(self, tmp_path, capsys, command, n):
+        missing = str(tmp_path / "missing")
+        paths = {"split": ["--train", missing, "--test", missing, "--out", missing],
+                 "select-top": ["--model", missing, "--train", missing,
+                                "--downstream", missing]}
+        assert main([command, *paths[command], "--n", n]) == 1
+        assert "--n: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["random", "top"])
+    @pytest.mark.parametrize("n", ["6", "7"])
+    def test_split_n_at_class_count_is_config_error(self, workspace, tmp_path,
+                                                    capsys, kind, n):
+        ranking = tmp_path / "ranking.json"
+        ranking.write_text(json.dumps(list(range(6))))
+        assert main(["split", "--train", str(workspace / "data" / "train"),
+                     "--test", str(workspace / "data" / "test"), "--kind", kind,
+                     "--ranking", str(ranking), "--n", n,
+                     "--out", str(tmp_path / "split")]) == 1
+        assert "must be below the train set's 6 classes" in capsys.readouterr().err
+        assert not (tmp_path / "split").exists()
+
+    def test_select_top_n_above_class_count_is_config_error(self, workspace, capsys):
+        argv = ["select-top", "--model", str(workspace / "ckpt" / "original"),
+                "--train", str(workspace / "data" / "train"),
+                "--downstream", str(workspace / "data" / "d")]
+        assert main([*argv, "--n", "7"]) == 1
+        assert "exceeds the train set's 6 classes" in capsys.readouterr().err
+        assert main([*argv, "--n", "6"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 6
 
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["run", "--nope"]) == 1
