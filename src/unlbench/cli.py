@@ -186,6 +186,8 @@ def _cmd_eval(args) -> int:
     if args.probe_rows < MIN_PROBE_ROWS:
         raise ConfigError(f"--probe-rows must be >= {MIN_PROBE_ROWS}, the fewest rows CKA takes")
     names = [Path(d).name for d in args.downstreams]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--downstreams are named by directory, and {names} repeats a name")
     if args.scenario_kind == "top" and args.related not in names:
         raise ConfigError(f"--scenario-kind top needs --related naming one of the "
                           f"--downstreams {names}, got {args.related!r}")

@@ -28,7 +28,9 @@ from .data import (
 )
 from .errors import BoundsError, ConfigError, DegenerateInputError, DivergenceError
 from .metrics import (
+    CkaSide,
     DownstreamRepr,
+    KnnSplit,
     MetricsReport,
     ReprScores,
     cka_side,
@@ -40,12 +42,13 @@ from .metrics import (
     knn_split,
     logit_gaps,
     mia_efficacy,
+    normalize_rows,
     split_accuracies,
 )
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
 from .serial import ConfigDict
-from .unlearning import UnlearnConfig, run_unlearning
+from .unlearning import UnlearnConfig, compute_centroids, run_unlearning
 
 # Seed-derivation streams under master_seed.
 _S_TRAIN_ORIGINAL = 1
@@ -179,17 +182,6 @@ class RankedClasses:
         return [c for c, _ in self.entries]
 
 
-def _class_mean_features(params: MlpParams, dataset: Dataset) -> np.ndarray:
-    feats, _ = forward(params, dataset.X)
-    classes = sorted(set(dataset.y.tolist()))
-    return np.vstack([feats[dataset.y == c].mean(axis=0) for c in classes])
-
-
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.where(norms > 0, norms, 1.0)
-
-
 def select_top_classes(params: MlpParams, train: Dataset, downstream: Dataset,
                        n: int) -> RankedClasses:
     """Rank train classes by cosine similarity of class-mean features.
@@ -200,8 +192,9 @@ def select_top_classes(params: MlpParams, train: Dataset, downstream: Dataset,
     """
     if n > train.num_classes:
         raise BoundsError(f"n={n} exceeds number of train classes {train.num_classes}")
-    sims = _unit_rows(_class_mean_features(params, downstream)) \
-        @ _unit_rows(_class_mean_features(params, train)).T
+    means = [normalize_rows(compute_centroids(params, ds, np.unique(ds.y)).means)
+             for ds in (downstream, train)]
+    sims = means[0] @ means[1].T
     global_score = sims.max(axis=0)
     stage1 = []
     for k in range(sims.shape[0]):
@@ -215,26 +208,38 @@ def select_top_classes(params: MlpParams, train: Dataset, downstream: Dataset,
     return RankedClasses(tuple((c, float(global_score[c])) for c in ordered[:n]))
 
 
+@dataclass(frozen=True)
+class Reference:
+    """A downstream dataset's evaluation references, drawn once per
+    scenario: its probe rows, its k-NN split, theta_r's k-NN accuracy, and
+    theta_o's and theta_r's probe CkaSides."""
+    probe_idx: np.ndarray
+    knn_split: KnnSplit
+    knn_r: float
+    cka_o: CkaSide
+    cka_r: CkaSide
+
+
 @dataclass
 class ScenarioContext:
     """Everything reusable across method runs of one scenario."""
     scenario: ScenarioSpec
-    downstreams: dict
+    downstreams: dict       # name -> Dataset
+    references: dict        # name -> Reference
     split: ForgetSplit
     theta_o: MlpParams
     theta_r: MlpParams
-    probes: dict            # name -> probe inputs, ds.X[probe_idx[name]]
-    probe_idx: dict         # name -> probe row indices into the dataset
-    knn_splits: dict        # name -> the dataset's KnnSplit
-    cka_o: dict             # name -> theta_o probe CkaSide
-    cka_r: dict             # name -> theta_r probe CkaSide
-    knn_r: dict             # name -> retrained knn accuracy
     mia_member: Dataset
     mia_nonmember: Dataset
     visits_o: int = 0
     visits_r: int = 0
     rte_o: float = 0.0
     rte_r: float = 0.0
+
+    @property
+    def probes(self) -> dict:
+        """name -> the probe inputs of each downstream dataset."""
+        return {n: self.downstreams[n].X[r.probe_idx] for n, r in self.references.items()}
 
     @cached_property
     def acc_r(self) -> tuple:
@@ -288,20 +293,15 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
     and the MIA sample, all drawn from master_seed's streams.  Downstream
     datasets are numbered in the order given, which must be the config's.
     costs are the reference models' visits_o, visits_r, rte_o and rte_r."""
-    probe_idx = {}
+    knn_seed = derive_seed(master_seed, _S_KNN_SPLIT)
+    references = {}
     for i, (name, ds) in enumerate(downstreams.items()):
         rng = make_rng(derive_seed(master_seed, _S_PROBE_BASE + i), 0)
-        probe_idx[name] = rng.choice(ds.n, size=min(probe_rows, ds.n), replace=False)
-    probes = {n: downstreams[n].X[idx] for n, idx in probe_idx.items()}
-
-    knn_seed = derive_seed(master_seed, _S_KNN_SPLIT)
-    knn_splits = {n: knn_split(ds.y, 5, knn_seed) for n, ds in downstreams.items()}
-    cka_o = {n: cka_side(forward(theta_o, x)[0]) for n, x in probes.items()}
-    cka_r, knn_r = {}, {}
-    for n, ds in downstreams.items():
-        feats_r = forward(theta_r, ds.X)[0]
-        cka_r[n] = cka_side(feats_r[probe_idx[n]])
-        knn_r[n] = compute_knn_accuracy(feats_r, knn_splits[n])
+        idx = rng.choice(ds.n, size=min(probe_rows, ds.n), replace=False)
+        split_knn = knn_split(ds.y, 5, knn_seed)
+        _, cka_o, _ = _representation(theta_o, ds, idx, None)
+        knn_r, cka_r, _ = _representation(theta_r, ds, idx, split_knn)
+        references[name] = Reference(idx, split_knn, knn_r, cka_o, cka_r)
 
     mia_rng = make_rng(derive_seed(master_seed, _S_MIA), 1)
     n_bal = min(split.Dr.n, split.Dr_te.n, 500)
@@ -309,21 +309,21 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
     ni = mia_rng.choice(split.Dr_te.n, size=n_bal, replace=False)
 
     return ScenarioContext(
-        scenario=scenario, downstreams=downstreams, split=split,
-        theta_o=theta_o, theta_r=theta_r, probes=probes, probe_idx=probe_idx,
-        knn_splits=knn_splits, cka_o=cka_o, cka_r=cka_r, knn_r=knn_r,
+        scenario=scenario, downstreams=downstreams, references=references, split=split,
+        theta_o=theta_o, theta_r=theta_r,
         mia_member=Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes),
         mia_nonmember=Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes),
         **costs,
     )
 
 
-def _representation(ctx: ScenarioContext, theta_u: MlpParams, name: str) -> tuple:
-    """theta_u's k-NN accuracy, probe CkaSide and probe features on one
-    downstream dataset, from one forward pass over the whole dataset."""
-    feats, _ = forward(theta_u, ctx.downstreams[name].X)
-    knn = compute_knn_accuracy(feats, ctx.knn_splits[name])
-    probe = feats[ctx.probe_idx[name]]
+def _representation(theta: MlpParams, ds: Dataset, probe_idx: np.ndarray,
+                    split: KnnSplit | None) -> tuple:
+    """theta's k-NN accuracy on ds (None without a split), probe CkaSide
+    and probe features, from one forward pass over the whole dataset."""
+    feats, _ = forward(theta, ds.X)
+    knn = None if split is None else compute_knn_accuracy(feats, split)
+    probe = feats[probe_idx]
     return knn, cka_side(probe), probe
 
 
@@ -332,14 +332,15 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
     plus under "probe_features" its probe features per downstream dataset,
     which run_scenario exports."""
     per_dataset, probes = {}, {}
-    for name in ctx.downstreams:
-        knn_u, side_u, probes[name] = _representation(ctx, theta_u, name)
+    for name, ref in ctx.references.items():
+        knn_u, side_u, probes[name] = _representation(
+            theta_u, ctx.downstreams[name], ref.probe_idx, ref.knn_split)
         per_dataset[name] = DownstreamRepr(
             knn_acc_u=knn_u,
-            knn_acc_r=ctx.knn_r[name],
-            g_knn=abs(knn_u - ctx.knn_r[name]),
-            cka_ur=compute_cka(side_u, ctx.cka_r[name]),
-            cka_uo=compute_cka(side_u, ctx.cka_o[name]),
+            knn_acc_r=ref.knn_r,
+            g_knn=abs(knn_u - ref.knn_r),
+            cka_ur=compute_cka(side_u, ref.cka_r),
+            cka_uo=compute_cka(side_u, ref.cka_o),
         )
     scores = ReprScores(per_dataset)
     gaps = logit_gaps(theta_u, ctx.acc_r, ctx.split)
@@ -444,6 +445,12 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def reports_to_csv(reports: list) -> str:
     """One CSV row per report; numbers as 6-decimal fractions."""
     names = []
@@ -451,13 +458,11 @@ def reports_to_csv(reports: list) -> str:
         if r.repr_scores:
             names = list(r.repr_scores.per_dataset)
             break
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["method", "scenario", "seed", "status", "fa", "ra", "tfa", "tra", "agl"]
     for n in names:
         header += [f"knn_{n}", f"cka_{n}"]
     header += ["agr", "hlr", "mia", "rte_seconds", "sample_visits"]
-    writer.writerow(header)
+    rows = [header]
     for r in reports:
         row = [r.method, r.scenario, r.seed, r.status]
         if r.logit:
@@ -470,8 +475,8 @@ def reports_to_csv(reports: list) -> str:
             row += [_fmt(d.knn_acc_u) if d else "", _fmt(d.cka_ur) if d else ""]
         row += [_fmt(r.agr), _fmt(r.hlr), _fmt(r.mia),
                 _fmt(r.rte_seconds), str(r.sample_visits)]
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def reports_to_json(reports: list, config_echo: dict | None = None) -> str:
@@ -493,16 +498,10 @@ def emit_report(reports: list, output_dir, config_echo: dict | None = None) -> d
     }
     paths["json"].write_text(reports_to_json(reports, config_echo))
     paths["csv"].write_text(reports_to_csv(reports))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "repeat", "dataset", "cka_uo", "cka_ur"])
-    for r in reports:
-        if not r.repr_scores:
-            continue
-        for name, d in r.repr_scores.per_dataset.items():
-            writer.writerow([r.method, r.provenance.get("repeat", 0), name,
-                             _fmt(d.cka_uo), _fmt(d.cka_ur)])
-    paths["scatter"].write_text(buf.getvalue())
+    paths["scatter"].write_text(_csv_text(
+        [["method", "repeat", "dataset", "cka_uo", "cka_ur"]]
+        + [[r.method, r.provenance.get("repeat", 0), name, _fmt(d.cka_uo), _fmt(d.cka_ur)]
+           for r in reports if r.repr_scores for name, d in r.repr_scores.per_dataset.items()]))
     return paths
 
 
@@ -545,12 +544,9 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
             except (DivergenceError, DegenerateInputError):
                 row.append(float("nan"))
         grid.append(row)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lr\\epochs"] + [str(int(e)) for e in epoch_grid])
-    for lr, row in zip(lr_grid, grid):
-        writer.writerow([f"{float(lr):g}"] + [_fmt(v) for v in row])
-    return grid, buf.getvalue()
+    return grid, _csv_text([["lr\\epochs"] + [str(int(e)) for e in epoch_grid]]
+                           + [[f"{float(lr):g}"] + [_fmt(v) for v in row]
+                              for lr, row in zip(lr_grid, grid)])
 
 
 def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
@@ -566,6 +562,7 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     if ctx is None:
         ctx = build_scenario(cfg)
     name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
+    ref = ctx.references[name]
     seed = _method_seed(cfg.master_seed, m_idx, 0)
     rows = []
     for sigma in sigma_grid:
@@ -573,14 +570,12 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                                              grad_noise_sigma=float(sigma)))
         try:
             result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-            knn, side, _ = _representation(ctx, result.params, name)
-            rows.append((float(sigma), knn, compute_cka(side, ctx.cka_r[name]),
-                         compute_cka(side, ctx.cka_o[name])))
+            knn, side, _ = _representation(result.params, ctx.downstreams[name],
+                                           ref.probe_idx, ref.knn_split)
+            rows.append((float(sigma), knn, compute_cka(side, ref.cka_r),
+                         compute_cka(side, ref.cka_o)))
         except (DivergenceError, DegenerateInputError):
             rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sigma", "knn_acc", "cka_ur", "cka_uo"])
-    for sigma, knn, ur, uo in rows:
-        writer.writerow([f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo)])
-    return rows, buf.getvalue()
+    return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo"]]
+                           + [[f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo)]
+                              for sigma, knn, ur, uo in rows])

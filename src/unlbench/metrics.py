@@ -199,7 +199,8 @@ def _frobenius_rescale(x: np.ndarray) -> np.ndarray:
     return x / scale if scale > 1.0 else x
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit L2 norm; a zero row stays zero."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1)
     # A norm overflows to inf above about 1e154; cosine is scale-invariant,
@@ -224,8 +225,8 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
     single un_test @ un_train.T does not, and near-tied neighbors depend on
     those bits.
     """
-    un_train = _normalize_rows(np.asarray(train_x, dtype=np.float64))
-    un_test = _normalize_rows(np.asarray(test_x, dtype=np.float64))
+    un_train = normalize_rows(np.asarray(train_x, dtype=np.float64))
+    un_test = normalize_rows(np.asarray(test_x, dtype=np.float64))
     labels = np.asarray(train_y, dtype=np.int64)
     dist = 1.0 - np.matmul(un_train[None], un_test[:, :, None])[..., 0]
     keys = (np.broadcast_to(np.arange(labels.size), dist.shape),

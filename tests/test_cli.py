@@ -265,6 +265,14 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "--related" in capsys.readouterr().err
 
+    def test_repeated_downstream_name_rejected_before_loading(self, tmp_path, capsys):
+        # a/d and b/d would both be keyed "d", and one would go unscored.
+        missing = str(tmp_path / "missing")
+        assert main(["eval", "--unlearned", missing, "--retrained", missing,
+                     "--original", missing, "--split", missing, "--downstreams",
+                     str(tmp_path / "a" / "d"), str(tmp_path / "b" / "d")]) == 1
+        assert "repeats a name" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["split", "select-top"])
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_n_below_one_rejected_before_loading(self, tmp_path, capsys, command, n):

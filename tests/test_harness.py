@@ -1,10 +1,12 @@
 """Orchestration: top-class selection, scenario runs, reports, sweeps."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from unlbench import harness
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe
 from unlbench.errors import BoundsError
 from unlbench.harness import (
@@ -102,8 +104,40 @@ class TestSelectTopClasses:
         with pytest.raises(BoundsError):
             select_top_classes(params, train, downs["d"], 7)
 
+    def test_ranking_survives_features_whose_norm_overflows(self, trained_toy):
+        """Scaling the feature layer by 2**600 scales every feature exactly;
+        cosine similarity is scale-invariant, so the ranking must not move
+        even though the feature norms overflow to inf."""
+        _, train, _, downs, _, params = trained_toy
+        scaled = replace(params, W2=params.W2 * 2.0 ** 600, b2=params.b2 * 2.0 ** 600)
+        assert not np.isfinite(np.linalg.norm(forward(scaled, train.X)[0], axis=1)).any()
+        want = select_top_classes(params, train, downs["d"], 6).ids()
+        assert select_top_classes(scaled, train, downs["d"], 6).ids() == want
+
 
 class TestRunScenario:
+    def test_reference_models_forward_once_per_downstream_set(self, monkeypatch):
+        """theta_o and theta_r are scored like every other model: one forward
+        over each whole downstream set, the probe features sliced from it."""
+        calls = []
+
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        monkeypatch.setattr(harness, "forward", recording)
+        base = mini_config()
+        data = replace(base.data, downstream_specs=(
+            DownstreamSpec("d", 3, (2, 5), 0.9, per_class=18),
+            DownstreamSpec("e", 2, (1,), 0.9, per_class=20),
+        ))
+        ctx = build_scenario(replace(base, data=data))
+        sizes = [ds.n for ds in ctx.downstreams.values()]
+        assert sizes == [54, 40] and base.probe_rows < min(sizes)
+        for theta in (ctx.theta_o, ctx.theta_r):
+            assert [n for p, n in calls if p is theta] == sizes
+        assert len(calls) == 2 * len(sizes)
+
     def test_no_methods_gives_reference_rows_only(self, tmp_path):
         cfg = mini_config(methods=(), output_dir=str(tmp_path / "o"))
         reports, _ = run_scenario(cfg)

@@ -17,7 +17,7 @@ from unlbench.metrics import (
     compute_hlr,
     compute_knn_accuracy,
     _frobenius_rescale,
-    _normalize_rows,
+    normalize_rows,
     cka_side,
     fit_linear_svm,
     knn_predict,
@@ -353,8 +353,8 @@ class TestKnn:
 def knn_predict_per_query(train_x, train_y, test_x, k, num_classes):
     """knn_predict as one matrix-vector product and one lexsort per query:
     the reference the batched form must match bit for bit."""
-    un_train = _normalize_rows(np.asarray(train_x, dtype=np.float64))
-    un_test = _normalize_rows(np.asarray(test_x, dtype=np.float64))
+    un_train = normalize_rows(np.asarray(train_x, dtype=np.float64))
+    un_test = normalize_rows(np.asarray(test_x, dtype=np.float64))
     labels = np.asarray(train_y, dtype=np.int64)
     idx = np.arange(labels.size)
     preds = np.empty(un_test.shape[0], dtype=np.int64)
