@@ -21,6 +21,7 @@ from .harness import (
     ScenarioSpec,
     default_method_config,
     emit_report,
+    last_layer_analysis,
     run_scenario,
     select_top_classes,
     sweep_dp_noise,
@@ -36,7 +37,6 @@ from .metrics import (
     compute_cka,
     compute_hlr,
     compute_knn_accuracy,
-    last_layer_analysis,
     logit_gaps,
     mia_efficacy,
 )

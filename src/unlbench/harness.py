@@ -416,7 +416,7 @@ def run_scenario(cfg: ExperimentConfig, emit: bool = True,
             except Exception as exc:  # failed repeats become rows, not aborts
                 reports.append(MetricsReport(
                     method=mcfg.method, scenario=scenario_name, seed=seed,
-                    status=f"failed: {type(exc).__name__}: {exc}",
+                    status=f"failed: {_failure(exc)}",
                     rte_seconds=time.perf_counter() - t0, provenance=prov,
                 ))
                 continue
@@ -439,6 +439,10 @@ def _scenario_name(sc: ScenarioSpec) -> str:
     if sc.kind == "random":
         return f"random-{sc.n_forget}"
     return f"top-{sc.n_forget}-{sc.related_dataset}"
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _fmt(x) -> str:
@@ -524,16 +528,19 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
     """H-LR over an lr x epochs grid, reusing theta_o / theta_r.
 
     Returns (grid, csv_text); grid[i][j] is the H-LR at (lr_grid[i],
-    epoch_grid[j]).  The first grid cell's seed matches run_scenario's
-    first repeat, so a 1x1 grid reproduces its H-LR exactly.
+    epoch_grid[j]), NaN where the run diverged or its input was degenerate.
+    The CSV's trailing status column is "ok", or names each failed cell of
+    the row as "epochs=E: ExceptionName: message", joined by "; ".  The
+    first grid cell's seed matches run_scenario's first repeat, so a 1x1
+    grid reproduces its H-LR exactly.
     """
     m_idx, mcfg = _find_method(cfg, method)
     if ctx is None:
         ctx = build_scenario(cfg)
     seed = _method_seed(cfg.master_seed, m_idx, 0)
-    grid = []
+    grid, statuses = [], []
     for lr in lr_grid:
-        row = []
+        row, failures = [], []
         for ep in epoch_grid:
             run_cfg = replace(mcfg, base=replace(mcfg.base, seed=seed,
                                                  lr=float(lr), epochs=int(ep)))
@@ -541,12 +548,14 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
                 result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
                 ev = evaluate_model(ctx, result.params)
                 row.append(ev["hlr"])
-            except (DivergenceError, DegenerateInputError):
+            except (DivergenceError, DegenerateInputError) as exc:
                 row.append(float("nan"))
+                failures.append(f"epochs={int(ep)}: {_failure(exc)}")
         grid.append(row)
-    return grid, _csv_text([["lr\\epochs"] + [str(int(e)) for e in epoch_grid]]
-                           + [[f"{float(lr):g}"] + [_fmt(v) for v in row]
-                              for lr, row in zip(lr_grid, grid)])
+        statuses.append("; ".join(failures) or "ok")
+    return grid, _csv_text([["lr\\epochs"] + [str(int(e)) for e in epoch_grid] + ["status"]]
+                           + [[f"{float(lr):g}"] + [_fmt(v) for v in row] + [status]
+                              for lr, row, status in zip(lr_grid, grid, statuses)])
 
 
 def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
@@ -556,7 +565,9 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     Evaluates k-NN accuracy and the two CKA similarities on the related
     downstream dataset (top scenario) or the first one (random scenario).
     Returns (rows, csv_text) with one (sigma, knn, cka_ur, cka_uo) row per
-    noise level; sigma 0 reproduces the noiseless run bit-exactly.
+    noise level, NaN where the run diverged or its input was degenerate;
+    the CSV's trailing status column is "ok" or "ExceptionName: message".
+    sigma 0 reproduces the noiseless run bit-exactly.
     """
     m_idx, mcfg = _find_method(cfg, method)
     if ctx is None:
@@ -564,7 +575,7 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
     ref = ctx.references[name]
     seed = _method_seed(cfg.master_seed, m_idx, 0)
-    rows = []
+    rows, statuses = [], []
     for sigma in sigma_grid:
         run_cfg = replace(mcfg, base=replace(mcfg.base, seed=seed,
                                              grad_noise_sigma=float(sigma)))
@@ -574,8 +585,36 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                                            ref.probe_idx, ref.knn_split)
             rows.append((float(sigma), knn, compute_cka(side, ref.cka_r),
                          compute_cka(side, ref.cka_o)))
-        except (DivergenceError, DegenerateInputError):
+            statuses.append("ok")
+        except (DivergenceError, DegenerateInputError) as exc:
             rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
-    return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo"]]
-                           + [[f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo)]
-                              for sigma, knn, ur, uo in rows])
+            statuses.append(_failure(exc))
+    return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo", "status"]]
+                           + [[f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo), status]
+                              for (sigma, knn, ur, uo), status in zip(rows, statuses)])
+
+
+@dataclass
+class LastLayerReport:
+    cka_full_vs_head: float
+    agl_gap: float
+    agl_full: float
+    agl_head: float
+
+
+def last_layer_analysis(theta_o: MlpParams, theta_r: MlpParams,
+                        split: ForgetSplit, cfg: UnlearnConfig) -> LastLayerReport:
+    """Run one method fully and head-only, then compare the two results.
+
+    Features are extracted on the retain test set; the AGL gap is the
+    absolute difference of the two AGL scores against theta_r.
+    """
+    full = run_unlearning(theta_o, split, cfg).params
+    head_cfg = replace(cfg, base=replace(cfg.base, freeze_encoder=True))
+    head = run_unlearning(theta_o, split, head_cfg).params
+    feats_full, _ = forward(full, split.Dr_te.X)
+    feats_head, _ = forward(head, split.Dr_te.X)
+    cka = compute_cka(feats_full, feats_head)
+    agl_full = compute_agl(logit_gaps(full, theta_r, split))
+    agl_head = compute_agl(logit_gaps(head, theta_r, split))
+    return LastLayerReport(cka, abs(agl_full - agl_head), agl_full, agl_head)

@@ -464,30 +464,10 @@ def mia_efficacy(theta_u: MlpParams, dr_sample: Dataset, dtest_sample: Dataset,
     return float((conf_f * w[0] + b <= 0.0).mean())
 
 
-@dataclass
-class LastLayerReport:
-    cka_full_vs_head: float
-    agl_gap: float
-    agl_full: float
-    agl_head: float
-
-
-def last_layer_analysis(theta_o: MlpParams, theta_r: MlpParams,
-                        split: ForgetSplit, cfg) -> LastLayerReport:
-    """Run one method fully and head-only, then compare the two results.
-
-    Features are extracted on the retain test set; the AGL gap is the
-    absolute difference of the two AGL scores against theta_r.
-    """
-    from dataclasses import replace as _replace
-    from .unlearning import run_unlearning
-
-    full = run_unlearning(theta_o, split, cfg).params
-    head_cfg = _replace(cfg, base=_replace(cfg.base, freeze_encoder=True))
-    head = run_unlearning(theta_o, split, head_cfg).params
-    feats_full, _ = forward(full, split.Dr_te.X)
-    feats_head, _ = forward(head, split.Dr_te.X)
-    cka = compute_cka(feats_full, feats_head)
-    agl_full = compute_agl(logit_gaps(full, theta_r, split))
-    agl_head = compute_agl(logit_gaps(head, theta_r, split))
-    return LastLayerReport(cka, abs(agl_full - agl_head), agl_full, agl_head)
+def __getattr__(name):
+    # last_layer_analysis runs unlearning, so it lives in harness, which
+    # imports this module; the old names resolve lazily.
+    if name in ("LastLayerReport", "last_layer_analysis"):
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,12 @@ representation metric consumes; the linear head (Whead, bhead) produces
 logits.  Training is plain minibatch SGD with optional momentum, Nesterov
 acceleration, and elementwise Gaussian gradient noise, fully deterministic
 given the config seed.
+
+During an SGD run the six blocks are views of one flat float64 vector,
+with flat velocity, gradient and scratch buffers beside it, so an update
+is a few whole-vector in-place ufunc calls and the noise one draw.  Each
+element sees the same IEEE operations in the same order as a block-by-
+block update, so the bits do not depend on the layout.
 """
 
 import hashlib
@@ -122,11 +128,14 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
 def _forward_cache(params: MlpParams, x: np.ndarray):
     """Forward pass keeping every activation backward needs."""
     _check_input(params, x)
-    a1 = x @ params.W1 + params.b1
+    a1 = x @ params.W1
+    a1 += params.b1
     h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ params.W2 + params.b2
+    a2 = h1 @ params.W2
+    a2 += params.b2
     feats = np.maximum(a2, 0.0)
-    logits = feats @ params.Whead + params.bhead
+    logits = feats @ params.Whead
+    logits += params.bhead
     return {"x": x, "a1": a1, "h1": h1, "a2": a2, "feats": feats, "logits": logits}
 
 
@@ -144,8 +153,9 @@ def forward(params: MlpParams, x: np.ndarray):
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -162,27 +172,28 @@ def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None,
     feats = cache["feats"]
     if d_logits is not None:
         d_whead = feats.T @ d_logits
-        d_bhead = d_logits.sum(axis=0)
-        d_f = d_logits @ params.Whead.T
+        d_bhead = np.add.reduce(d_logits, axis=0)
+        d_a2 = d_logits @ params.Whead.T
         if d_feats is not None:
-            d_f = d_f + d_feats
+            d_a2 += d_feats
     else:
         d_whead = np.zeros_like(params.Whead)
         d_bhead = np.zeros_like(params.bhead)
-        d_f = d_feats
+        d_a2 = d_feats
     if freeze_encoder:
         return {
             "W1": np.zeros_like(params.W1), "b1": np.zeros_like(params.b1),
             "W2": np.zeros_like(params.W2), "b2": np.zeros_like(params.b2),
             "Whead": d_whead, "bhead": d_bhead,
         }
-    d_a2 = d_f * (cache["a2"] > 0)
+    # d_a2 is the caller's d_feats when there is no d_logits: mask a copy.
+    d_a2 = np.multiply(d_a2, cache["a2"] > 0, out=None if d_logits is None else d_a2)
     d_w2 = cache["h1"].T @ d_a2
-    d_b2 = d_a2.sum(axis=0)
-    d_h1 = d_a2 @ params.W2.T
-    d_a1 = d_h1 * (cache["a1"] > 0)
+    d_b2 = np.add.reduce(d_a2, axis=0)
+    d_a1 = d_a2 @ params.W2.T
+    d_a1 *= cache["a1"] > 0
     d_w1 = cache["x"].T @ d_a1
-    d_b1 = d_a1.sum(axis=0)
+    d_b1 = np.add.reduce(d_a1, axis=0)
     return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2,
             "Whead": d_whead, "bhead": d_bhead}
 
@@ -190,11 +201,13 @@ def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None,
 def cross_entropy_grad_logits(logits: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its gradient w.r.t. logits."""
     n = logits.shape[0]
+    rows = np.arange(n)
     logp = log_softmax(logits)
-    loss = -logp[np.arange(n), y].mean()
-    d_logits = np.exp(logp)
-    d_logits[np.arange(n), y] -= 1.0
-    return loss, d_logits / n
+    loss = -(np.add.reduce(logp[rows, y]) / n)  # the bits of .mean(), without its overhead
+    d_logits = np.exp(logp, out=logp)
+    d_logits[rows, y] -= 1.0
+    d_logits /= n
+    return loss, d_logits
 
 
 def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray,
@@ -214,39 +227,90 @@ def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray,
     return backward(params, cache, d_logits=d_logits, freeze_encoder=freeze_encoder), loss
 
 
+def _flat(blocks: dict) -> np.ndarray:
+    """Per-block arrays laid end to end in BLOCKS order."""
+    return np.concatenate([blocks[b].ravel() for b in BLOCKS])
+
+
+def _views(flat: np.ndarray, like: MlpParams) -> dict:
+    """Block name -> view of flat shaped like that block of `like`."""
+    views, offset = {}, 0
+    for b in BLOCKS:
+        block = getattr(like, b)
+        views[b] = flat[offset:offset + block.size].reshape(block.shape)
+        offset += block.size
+    return views
+
+
 @dataclass
 class SgdState:
-    """Momentum buffers plus the shared shuffle/noise streams for one run."""
-    velocity: dict
+    """The flat buffers plus the shared shuffle/noise streams of one run.
+
+    params holds the run's six blocks end to end in BLOCKS order, and the
+    working copy's blocks are views of it; velocity, grad and scratch are
+    vectors of its length (grad_views are grad's per-block views), and mask
+    is the flattened update mask or None.  So each step is a handful of
+    whole-vector in-place ufunc calls.
+    """
+    params: np.ndarray
+    velocity: np.ndarray
+    grad: np.ndarray
+    grad_views: dict
+    scratch: np.ndarray
+    mask: np.ndarray | None
     shuffle_rng: np.random.Generator
     noise_rng: np.random.Generator | None
     step: int = 0
 
     @staticmethod
-    def create(params: MlpParams, cfg: TrainConfig) -> "SgdState":
+    def create(params: MlpParams, cfg: TrainConfig, mask: dict | None = None) -> "SgdState":
+        """Copy params' blocks into one vector and rebind them to views of it."""
+        flat = _flat(vars(params))
+        grad = np.empty_like(flat)
+        grad_views = _views(grad, params)
+        for b, view in _views(flat, params).items():
+            setattr(params, b, view)
         return SgdState(
-            velocity={b: np.zeros_like(getattr(params, b)) for b in BLOCKS},
+            params=flat,
+            velocity=np.zeros_like(flat),
+            grad=grad,
+            grad_views=grad_views,
+            scratch=np.empty_like(flat),
+            mask=None if mask is None else _flat(mask),
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
             noise_rng=make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None,
         )
 
 
 def apply_sgd_step(params: MlpParams, grads: dict, state: SgdState, cfg: TrainConfig,
-                   sign: float = 1.0, mask: dict | None = None) -> None:
-    """One in-place SGD update.  sign=-1 ascends; a mask zeroes updates."""
-    for b in BLOCKS:
-        g = sign * grads[b]
-        if state.noise_rng is not None:
-            g = g + cfg.grad_noise_sigma * state.noise_rng.standard_normal(g.shape)
-        v = state.velocity[b]
-        v *= cfg.momentum
-        v += g
-        step_dir = g + cfg.momentum * v if cfg.nesterov else v
-        update = cfg.lr * step_dir
-        if mask is not None:
-            update = update * mask[b]
-        arr = getattr(params, b)
-        arr -= update
+                   sign: float = 1.0) -> None:
+    """One in-place SGD update of the params state was created from.
+
+    sign=-1 ascends; state.mask zeroes updates.  Per element this is
+    g = sign*grad + sigma*noise, v = momentum*v + g, and params -= lr *
+    (g + momentum*v if nesterov else v) * mask, with the noise drawn in
+    BLOCKS order.
+    """
+    g, v, t = state.grad, state.velocity, state.scratch
+    for b, view in state.grad_views.items():
+        view[...] = grads[b]
+    if sign != 1.0:
+        np.multiply(g, sign, out=g)
+    if state.noise_rng is not None:
+        state.noise_rng.standard_normal(out=t)
+        np.multiply(t, cfg.grad_noise_sigma, out=t)
+        np.add(g, t, out=g)
+    np.multiply(v, cfg.momentum, out=v)
+    np.add(v, g, out=v)
+    if cfg.nesterov:
+        np.multiply(v, cfg.momentum, out=t)
+        np.add(t, g, out=t)
+        np.multiply(t, cfg.lr, out=t)
+    else:
+        np.multiply(v, cfg.lr, out=t)
+    if state.mask is not None:
+        np.multiply(t, state.mask, out=t)
+    np.subtract(state.params, t, out=state.params)
     state.step += 1
 
 
@@ -269,18 +333,21 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = Non
     steps(work, state) is a generator over the live working copy that yields
     (grads, loss, rows, sign) once per update; it computes each gradient
     after the previous update, so every stream draws in a fixed order.
-    Returns (params, sample_visits).  Raises DivergenceError with the step
-    index at the first non-finite loss or parameter.
+    The working copy's blocks are views of one flat vector (SgdState), so
+    each update runs on whole vectors and the mask is flattened once.
+    Returns (params, sample_visits); the params share no memory with the
+    input.  Raises DivergenceError with the step index at the first
+    non-finite loss or parameter.
     """
     work = params.copy()
     if cfg.epochs == 0:
         return work, 0
-    state = SgdState.create(work, cfg)
+    state = SgdState.create(work, cfg, mask)
     visits = 0
     for grads, loss, rows, sign in steps(work, state):
         if not np.isfinite(loss):
             raise DivergenceError(state.step)
-        apply_sgd_step(work, grads, state, cfg, sign=sign, mask=mask)
+        apply_sgd_step(work, grads, state, cfg, sign=sign)
         visits += rows
     check_finite(work, state.step)
     return work, visits

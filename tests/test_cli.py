@@ -169,9 +169,9 @@ def test_sweep_both_kinds(workspace):
     assert main(["sweep", "--config", str(sweep_cfg), "--kind", "dp-noise",
                  "--out", str(out)]) == 0
     lr_csv = (out / "sweep_lr_epochs_PL.csv").read_text().splitlines()
-    assert lr_csv[0] == "lr\\epochs,1,2" and len(lr_csv) == 3
+    assert lr_csv[0] == "lr\\epochs,1,2,status" and len(lr_csv) == 3
     dp_csv = (out / "sweep_dp_noise_PL.csv").read_text().splitlines()
-    assert dp_csv[0] == "sigma,knn_acc,cka_ur,cka_uo" and len(dp_csv) == 3
+    assert dp_csv[0] == "sigma,knn_acc,cka_ur,cka_uo,status" and len(dp_csv) == 3
 
 
 class TestExitCodes:

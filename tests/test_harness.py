@@ -1,5 +1,7 @@
 """Orchestration: top-class selection, scenario runs, reports, sweeps."""
 
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ import pytest
 
 from unlbench import harness
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe
-from unlbench.errors import BoundsError
+from unlbench.errors import BoundsError, DivergenceError
 from unlbench.harness import (
     ExperimentConfig,
     ScenarioSpec,
@@ -25,7 +27,7 @@ from unlbench.harness import (
 )
 from unlbench.model import TrainConfig, forward, init_params, sgd_train
 from unlbench.rng import make_rng
-from unlbench.unlearning import UnlearnConfig
+from unlbench.unlearning import UnlearnConfig, run_unlearning
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -259,7 +261,7 @@ class TestSweeps:
         best = np.unravel_index(np.argmax(values), values.shape)
         assert 0 <= best[0] < 3 and 0 <= best[1] < 3
         lines = text.splitlines()
-        assert lines[0] == "lr\\epochs,1,2,3"
+        assert lines[0] == "lr\\epochs,1,2,3,status"
         assert len(lines) == 4
 
     def test_dp_noise_zero_sigma_matches_noiseless(self):
@@ -268,7 +270,7 @@ class TestSweeps:
         rows, text = sweep_dp_noise(cfg, "PL", [0.0, 0.5], ctx=ctx)
         again, _ = sweep_dp_noise(cfg, "PL", [0.0], ctx=ctx)
         assert rows[0] == again[0]
-        assert text.splitlines()[0] == "sigma,knn_acc,cka_ur,cka_uo"
+        assert text.splitlines()[0] == "sigma,knn_acc,cka_ur,cka_uo,status"
 
     @pytest.mark.parametrize("sweep", ["lr-epochs", "dp-noise"])
     def test_only_run_failures_become_nan(self, monkeypatch, sweep):
@@ -288,6 +290,27 @@ class TestSweeps:
         assert all(np.isnan(v) for v in run(DivergenceError(3)))
         with pytest.raises(TypeError):
             run(TypeError("a bug"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_cells_record_their_cause(self):
+        ga = UnlearnConfig("GA", TrainConfig(lr=5.0, epochs=2, momentum=0.0, batch_size=16))
+        cfg = mini_config(methods=(ga,))
+        ctx = build_scenario(cfg)
+        grid, text = sweep_hyperparameters(cfg, "GA", [0.01, 1e4], [1, 4], ctx=ctx)
+        assert not np.isnan(grid[1][0]) and np.isnan(grid[1][1])
+        seed = harness._method_seed(cfg.master_seed, 0, 0)
+        with pytest.raises(DivergenceError) as err:
+            run_unlearning(ctx.theta_o, ctx.split,
+                           replace(ga, base=replace(ga.base, seed=seed, lr=1e4, epochs=4)))
+        lines = list(csv.reader(io.StringIO(text)))
+        assert [line[-1] for line in lines] == [
+            "status", "ok", f"epochs=4: DivergenceError: {err.value}"]
+
+        rows, text = sweep_dp_noise(cfg, "GA", [0.0, 1e300], ctx=ctx)
+        assert [len(r) for r in rows] == [4, 4] and np.isnan(rows[1][1:]).all()
+        lines = list(csv.reader(io.StringIO(text)))
+        assert [line[-1] for line in lines] == [
+            "status", "ok", "DivergenceError: non-finite loss at training step 1"]
 
     def test_unknown_method_rejected(self):
         cfg = mini_config()

@@ -9,14 +9,19 @@ from unlbench.model import (
     BLOCKS,
     MlpParams,
     ModelCheckpoint,
+    STREAM_NOISE,
     TrainConfig,
     _forward_cache,
     accuracy,
+    backward,
+    cross_entropy_grad_logits,
     forward,
     grad_cross_entropy,
     init_params,
     load_checkpoint,
+    log_softmax,
     save_checkpoint,
+    sgd_loop,
     sgd_train,
     softmax,
 )
@@ -204,6 +209,137 @@ class TestSgdTrain:
         with pytest.raises(DivergenceError) as err:
             sgd_train(broken, self.data, TrainConfig(lr=0.1, epochs=1, seed=9))
         assert err.value.step == 0
+
+
+def oracle_sgd_step(params, grads, velocity, noise_rng, cfg, sign=1.0, mask=None):
+    """The SGD update block by block, each operation on a fresh temporary."""
+    for b in BLOCKS:
+        g = sign * grads[b]
+        if noise_rng is not None:
+            g = g + cfg.grad_noise_sigma * noise_rng.standard_normal(g.shape)
+        v = velocity[b]
+        v *= cfg.momentum
+        v += g
+        step_dir = g + cfg.momentum * v if cfg.nesterov else v
+        update = cfg.lr * step_dir
+        if mask is not None:
+            update = update * mask[b]
+        arr = getattr(params, b)
+        arr -= update
+
+
+class TestFlatSgdStep:
+    """sgd_loop's flat-vector update against the per-block oracle."""
+
+    N_STEPS = 9
+
+    def setup_method(self):
+        rng = make_rng(12, 0)
+        self.x = rng.standard_normal((40, 5))
+        self.y = rng.integers(0, 4, 40)
+        self.batches = [rng.permutation(40)[:8] for _ in range(self.N_STEPS)]
+        self.theta = tiny_params(12)
+        self.mask = {b: (rng.random(getattr(self.theta, b).shape) < 0.5).astype(float)
+                     for b in BLOCKS}
+
+    def _grads(self, params, i, cfg):
+        idx = self.batches[i]
+        return grad_cross_entropy(params, self.x[idx], self.y[idx], cfg.freeze_encoder)
+
+    def _oracle(self, cfg, sign, mask):
+        params = self.theta.copy()
+        velocity = {b: np.zeros_like(getattr(params, b)) for b in BLOCKS}
+        noise = make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None
+        for i in range(self.N_STEPS):
+            grads, _ = self._grads(params, i, cfg)
+            oracle_sgd_step(params, grads, velocity, noise, cfg, sign, mask)
+        return params, noise
+
+    def _flat(self, cfg, sign, mask):
+        seen = {}
+
+        def steps(work, state):
+            seen["state"] = state
+            for i in range(self.N_STEPS):
+                grads, loss = self._grads(work, i, cfg)
+                yield grads, loss, 8, sign
+        params, visits = sgd_loop(self.theta, cfg, steps, mask=mask)
+        assert visits == 8 * self.N_STEPS
+        return params, seen["state"]
+
+    @pytest.mark.parametrize("sign, knobs, masked", [
+        (1.0, {}, False),
+        (-1.0, {}, False),
+        (1.0, {"grad_noise_sigma": 0.05}, False),
+        (1.0, {"nesterov": True, "momentum": 0.5, "grad_noise_sigma": 0.01}, False),
+        (1.0, {"momentum": 0.0}, False),
+        (1.0, {}, True),
+        (1.0, {"freeze_encoder": True, "grad_noise_sigma": 0.02}, False),
+        (-1.0, {"nesterov": True, "grad_noise_sigma": 0.03, "momentum": 0.7}, True),
+    ])
+    def test_matches_per_block_oracle_bit_for_bit(self, sign, knobs, masked):
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=3, **knobs)
+        mask = self.mask if masked else None
+        want, want_noise = self._oracle(cfg, sign, mask)
+        got, state = self._flat(cfg, sign, mask)
+        assert state.step == self.N_STEPS
+        for b in BLOCKS:
+            assert np.array_equal(getattr(got, b), getattr(want, b)), b
+        if want_noise is None:
+            assert state.noise_rng is None
+        else:
+            # Both streams stop at the same position.
+            assert np.array_equal(state.noise_rng.standard_normal(7),
+                                  want_noise.standard_normal(7))
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_result_shares_no_memory_with_input(self, epochs):
+        before = self.theta.content_hash()
+        cfg = TrainConfig(lr=0.05, epochs=epochs, seed=3)
+        out, _ = self._flat(cfg, 1.0, None) if epochs else (
+            sgd_loop(self.theta, cfg, None)[0], None)
+        for b in BLOCKS:
+            assert not np.shares_memory(getattr(out, b), getattr(self.theta, b)), b
+        assert self.theta.content_hash() == before
+
+    def test_two_runs_from_one_theta_give_one_hash(self):
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=3, nesterov=True, grad_noise_sigma=0.01)
+        a, _ = self._flat(cfg, -1.0, self.mask)
+        b, _ = self._flat(cfg, -1.0, self.mask)
+        assert a.content_hash() == b.content_hash()
+
+
+class TestLeanBackprop:
+    """The in-place forward/backward arithmetic keeps the caller's arrays and
+    the bits of the plain expressions."""
+
+    def setup_method(self):
+        rng = make_rng(13, 0)
+        self.params = tiny_params(13)
+        self.x = rng.standard_normal((6, 5))
+        self.y = rng.integers(0, 4, 6)
+        self.d_feats = rng.standard_normal((6, 3))
+
+    def test_backward_leaves_caller_gradients_untouched(self):
+        cache = _forward_cache(self.params, self.x)
+        d_logits = make_rng(13, 1).standard_normal((6, 4))
+        kept = self.d_feats.copy(), d_logits.copy()
+        backward(self.params, cache, d_feats=self.d_feats)
+        backward(self.params, cache, d_logits=d_logits, d_feats=self.d_feats)
+        assert np.array_equal(self.d_feats, kept[0])
+        assert np.array_equal(d_logits, kept[1])
+
+    def test_cross_entropy_matches_plain_expressions(self):
+        _, logits = forward(self.params, self.x)
+        logits = 40.0 * logits
+        loss, d_logits = cross_entropy_grad_logits(logits, self.y)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        assert np.array_equal(log_softmax(logits), logp)
+        assert loss == -logp[np.arange(6), self.y].mean()
+        want = np.exp(logp)
+        want[np.arange(6), self.y] -= 1.0
+        assert np.array_equal(d_logits, want / 6)
 
 
 class TestAccuracy:
