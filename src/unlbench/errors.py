@@ -12,6 +12,11 @@ class ShapeError(ValueError):
     """Array dimensions do not satisfy an operation's contract."""
 
 
+class NonFiniteError(ShapeError):
+    """An input array holds NaN or Inf entries, such as the features of a
+    model whose activations overflowed."""
+
+
 class DegenerateInputError(ValueError):
     """Input is structurally valid but too small or trivial to process."""
 

@@ -26,7 +26,8 @@ from .data import (
     split_random_forget,
     split_top_forget,
 )
-from .errors import BoundsError, ConfigError, DegenerateInputError, DivergenceError
+from .errors import (BoundsError, ConfigError, DegenerateInputError, DivergenceError,
+                     NonFiniteError)
 from .metrics import (
     CkaSide,
     DownstreamRepr,
@@ -441,6 +442,11 @@ def _scenario_name(sc: ScenarioSpec) -> str:
     return f"top-{sc.n_forget}-{sc.related_dataset}"
 
 
+# What a sweep cell reports as a NaN cell with its cause: a diverged run,
+# a degenerate input, or a finite model whose features overflow.
+_CELL_FAILURES = (DivergenceError, DegenerateInputError, NonFiniteError)
+
+
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -528,7 +534,8 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
     """H-LR over an lr x epochs grid, reusing theta_o / theta_r.
 
     Returns (grid, csv_text); grid[i][j] is the H-LR at (lr_grid[i],
-    epoch_grid[j]), NaN where the run diverged or its input was degenerate.
+    epoch_grid[j]), NaN where the run diverged, its input was degenerate
+    or the model's features were not finite.
     The CSV's trailing status column is "ok", or names each failed cell of
     the row as "epochs=E: ExceptionName: message", joined by "; ".  The
     first grid cell's seed matches run_scenario's first repeat, so a 1x1
@@ -548,7 +555,7 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
                 result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
                 ev = evaluate_model(ctx, result.params)
                 row.append(ev["hlr"])
-            except (DivergenceError, DegenerateInputError) as exc:
+            except _CELL_FAILURES as exc:
                 row.append(float("nan"))
                 failures.append(f"epochs={int(ep)}: {_failure(exc)}")
         grid.append(row)
@@ -565,7 +572,8 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     Evaluates k-NN accuracy and the two CKA similarities on the related
     downstream dataset (top scenario) or the first one (random scenario).
     Returns (rows, csv_text) with one (sigma, knn, cka_ur, cka_uo) row per
-    noise level, NaN where the run diverged or its input was degenerate;
+    noise level, NaN where the run diverged, its input was degenerate or
+    the model's features were not finite;
     the CSV's trailing status column is "ok" or "ExceptionName: message".
     sigma 0 reproduces the noiseless run bit-exactly.
     """
@@ -586,7 +594,7 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
             rows.append((float(sigma), knn, compute_cka(side, ref.cka_r),
                          compute_cka(side, ref.cka_o)))
             statuses.append("ok")
-        except (DivergenceError, DegenerateInputError) as exc:
+        except _CELL_FAILURES as exc:
             rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
             statuses.append(_failure(exc))
     return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo", "status"]]

@@ -7,7 +7,7 @@ boundaries so downstream metric code can assume clean inputs.
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, NonFiniteError, ShapeError
 
 __all__ = ["as_matrix", "gram_linear", "center_gram", "hsic", "hsic_centered"]
 
@@ -18,7 +18,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 

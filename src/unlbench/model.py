@@ -8,13 +8,23 @@ given the config seed.
 
 During an SGD run the six blocks are views of one flat float64 vector,
 with flat velocity, gradient and scratch buffers beside it, so an update
-is a few whole-vector in-place ufunc calls and the noise one draw.  Each
-element sees the same IEEE operations in the same order as a block-by-
-block update, so the bits do not depend on the layout.
+is a few whole-vector in-place ufunc calls.  Each element sees the same
+IEEE operations in the same order as a block-by-block update, so the bits
+do not depend on the layout.
+
+A run with grad_noise_sigma > 0 that lasts more than NOISE_CHUNK_STEPS
+steps uses a second thread: a NoiseFeed draws the run's noise stream
+ahead, a chunk of steps at a time, while the training thread computes
+gradients.  The training thread takes the steps' vectors in stream order,
+so the bits do not depend on the thread either.  A noise-free run, a
+shorter one, or one whose length the caller does not give starts no
+thread.
 """
 
 import hashlib
 import json
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +41,13 @@ BLOCKS = ("W1", "b1", "W2", "b2", "Whead", "bhead")
 # Stream ids under a TrainConfig seed.  Unlearning methods reserve ids >= 3.
 STREAM_SHUFFLE = 1
 STREAM_NOISE = 2
+
+# Steps of gradient noise a NoiseFeed's helper draws per chunk.  The two
+# threads synchronise once per chunk, so a chunk must be long: one vector
+# per step made a noisy run slower than drawing on the training thread.
+# A run of at most one chunk draws on the training thread, as the helper
+# could only make it wait for its first chunk.
+NOISE_CHUNK_STEPS = 64
 
 DEFAULT_HIDDEN = 64
 DEFAULT_FEAT = 16
@@ -232,14 +249,69 @@ def _flat(blocks: dict) -> np.ndarray:
     return np.concatenate([blocks[b].ravel() for b in BLOCKS])
 
 
-def _views(flat: np.ndarray, like: MlpParams) -> dict:
-    """Block name -> view of flat shaped like that block of `like`."""
+def _views(flat: np.ndarray, like: MlpParams, blocks=BLOCKS) -> dict:
+    """Block name -> view of flat shaped like that block of `like`, for
+    `blocks` laid end to end from flat's start."""
     views, offset = {}, 0
-    for b in BLOCKS:
+    for b in blocks:
         block = getattr(like, b)
         views[b] = flat[offset:offset + block.size].reshape(block.shape)
         offset += block.size
     return views
+
+
+class NoiseFeed:
+    """One SGD run's gradient noise: sigma times the run's normals, one
+    vector of `size` per step, in stream order.
+
+    A run that gives its length `steps` and lasts more than one chunk has
+    its noise drawn ahead by one helper thread, started by the first
+    next(): chunks of up to NOISE_CHUNK_STEPS rows in two buffers, never
+    past `steps`.  Any other run, and any step past `steps`, draws on the
+    calling thread.  Each chunk is filled only after the one before it,
+    so the rows are the successive standard_normal(size) draws either way
+    and the bits do not depend on the thread.  A failed fill re-raises in
+    next(); close() drops the fills not begun and joins the helper.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int, sigma: float,
+                 steps: int | None = None):
+        self._rng, self._sigma = rng, sigma
+        self._ahead = steps if steps is not None and steps > NOISE_CHUNK_STEPS else 0
+        self._pool = None
+        self._fills = deque()  # futures of the drawn-ahead chunks, in order
+        self._one = np.empty((1, size))
+        self._chunk, self._row = self._one, 1
+
+    def _draw(self, chunk: np.ndarray) -> np.ndarray:
+        self._rng.standard_normal(out=chunk)
+        np.multiply(chunk, self._sigma, out=chunk)
+        return chunk
+
+    def _submit(self, buf: np.ndarray) -> None:
+        rows = min(self._ahead, NOISE_CHUNK_STEPS)
+        if rows:
+            self._ahead -= rows
+            self._fills.append(self._pool.submit(self._draw, buf[:rows]))
+
+    def next(self) -> np.ndarray:
+        """The next step's noise vector; valid until the following call."""
+        if self._row == len(self._chunk):
+            if self._pool is None and self._ahead:
+                self._pool = ThreadPoolExecutor(1, thread_name_prefix="unlbench-noise")
+                for _ in range(2):
+                    self._submit(np.empty((NOISE_CHUNK_STEPS, self._one.shape[1])))
+            elif self._chunk is not self._one:
+                self._submit(self._chunk)  # every row read: refill it
+            # Drawn here only once every fill is taken, so the helper is idle.
+            self._chunk =self._fills.popleft().result() if self._fills else self._draw(self._one)
+            self._row = 0
+        self._row += 1
+        return self._chunk[self._row - 1]
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -247,59 +319,83 @@ class SgdState:
     """The flat buffers plus the shared shuffle/noise streams of one run.
 
     params holds the run's six blocks end to end in BLOCKS order, and the
-    working copy's blocks are views of it; velocity, grad and scratch are
-    vectors of its length (grad_views are grad's per-block views), and mask
-    is the flattened update mask or None.  So each step is a handful of
-    whole-vector in-place ufunc calls.
+    working copy's blocks are views of it.  The run trains params[start:]:
+    all of it, or under freeze_encoder the head only, so a frozen block
+    never changes.  grad, velocity, scratch and mask (the flattened update
+    mask or None) are vectors over that trained tail, and grad_views are
+    grad's per-block views, so each step is a handful of whole-vector
+    in-place ufunc calls.  noise is the run's NoiseFeed when
+    grad_noise_sigma > 0, else None.  Used as a context manager, the state
+    stops the feed's helper thread, if one started, on every exit.
     """
     params: np.ndarray
+    start: int
     velocity: np.ndarray
     grad: np.ndarray
     grad_views: dict
     scratch: np.ndarray
     mask: np.ndarray | None
     shuffle_rng: np.random.Generator
-    noise_rng: np.random.Generator | None
+    noise: NoiseFeed | None
     step: int = 0
 
     @staticmethod
-    def create(params: MlpParams, cfg: TrainConfig, mask: dict | None = None) -> "SgdState":
-        """Copy params' blocks into one vector and rebind them to views of it."""
+    def create(params: MlpParams, cfg: TrainConfig, mask: dict | None = None,
+               steps: int | None = None) -> "SgdState":
+        """Copy params' blocks into one vector and rebind them to views of it.
+
+        steps is the run's length if known.  Only then can a noisy run's
+        feed draw ahead on a helper thread, so a caller that gives it must
+        run the steps in a with block over the state.
+        """
         flat = _flat(vars(params))
-        grad = np.empty_like(flat)
-        grad_views = _views(grad, params)
         for b, view in _views(flat, params).items():
             setattr(params, b, view)
+        trained = BLOCKS[4:] if cfg.freeze_encoder else BLOCKS
+        start = flat.size - sum(getattr(params, b).size for b in trained)
+        grad = np.empty(flat.size - start)
+        noise = None
+        if cfg.grad_noise_sigma > 0:
+            # Drawn over the whole vector, so the head's noise does not
+            # depend on freeze_encoder.
+            noise = NoiseFeed(make_rng(cfg.seed, STREAM_NOISE), flat.size,
+                              cfg.grad_noise_sigma, steps)
         return SgdState(
             params=flat,
-            velocity=np.zeros_like(flat),
+            start=start,
+            velocity=np.zeros_like(grad),
             grad=grad,
-            grad_views=grad_views,
-            scratch=np.empty_like(flat),
-            mask=None if mask is None else _flat(mask),
+            grad_views=_views(grad, params, trained),
+            scratch=np.empty_like(grad),
+            mask=None if mask is None else _flat(mask)[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
-            noise_rng=make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None,
+            noise=noise,
         )
+
+    def __enter__(self) -> "SgdState":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.noise is not None:
+            self.noise.close()
 
 
 def apply_sgd_step(params: MlpParams, grads: dict, state: SgdState, cfg: TrainConfig,
                    sign: float = 1.0) -> None:
     """One in-place SGD update of the params state was created from.
 
-    sign=-1 ascends; state.mask zeroes updates.  Per element this is
-    g = sign*grad + sigma*noise, v = momentum*v + g, and params -= lr *
-    (g + momentum*v if nesterov else v) * mask, with the noise drawn in
-    BLOCKS order.
+    sign=-1 ascends; state.mask zeroes updates.  Per trained element this
+    is g = sign*grad + sigma*noise, v = momentum*v + g, and params -= lr *
+    (g + momentum*v if nesterov else v) * mask, with the noise drawn over
+    all blocks in BLOCKS order.
     """
     g, v, t = state.grad, state.velocity, state.scratch
     for b, view in state.grad_views.items():
         view[...] = grads[b]
     if sign != 1.0:
         np.multiply(g, sign, out=g)
-    if state.noise_rng is not None:
-        state.noise_rng.standard_normal(out=t)
-        np.multiply(t, cfg.grad_noise_sigma, out=t)
-        np.add(g, t, out=g)
+    if state.noise is not None:
+        np.add(g, state.noise.next()[state.start:], out=g)
     np.multiply(v, cfg.momentum, out=v)
     np.add(v, g, out=v)
     if cfg.nesterov:
@@ -310,7 +406,8 @@ def apply_sgd_step(params: MlpParams, grads: dict, state: SgdState, cfg: TrainCo
         np.multiply(v, cfg.lr, out=t)
     if state.mask is not None:
         np.multiply(t, state.mask, out=t)
-    np.subtract(state.params, t, out=state.params)
+    p = state.params[state.start:]
+    np.subtract(p, t, out=p)
     state.step += 1
 
 
@@ -327,7 +424,13 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = None) -> tuple:
+def epoch_steps(n: int, cfg: TrainConfig) -> int:
+    """Steps of cfg.epochs passes of epoch_batches over n rows."""
+    return cfg.epochs * -(-n // cfg.batch_size)
+
+
+def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = None,
+             n_steps: int | None = None) -> tuple:
     """The SGD driver every training and unlearning loop runs on.
 
     steps(work, state) is a generator over the live working copy that yields
@@ -335,6 +438,9 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = Non
     after the previous update, so every stream draws in a fixed order.
     The working copy's blocks are views of one flat vector (SgdState), so
     each update runs on whole vectors and the mask is flattened once.
+    n_steps, the number of updates steps yields, lets a long noisy run
+    draw its noise ahead on a helper thread (see NoiseFeed), which is
+    stopped and joined on every exit; the bits do not depend on it.
     Returns (params, sample_visits); the params share no memory with the
     input.  Raises DivergenceError with the step index at the first
     non-finite loss or parameter.
@@ -342,13 +448,13 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = Non
     work = params.copy()
     if cfg.epochs == 0:
         return work, 0
-    state = SgdState.create(work, cfg, mask)
     visits = 0
-    for grads, loss, rows, sign in steps(work, state):
-        if not np.isfinite(loss):
-            raise DivergenceError(state.step)
-        apply_sgd_step(work, grads, state, cfg, sign=sign)
-        visits += rows
+    with SgdState.create(work, cfg, mask, n_steps) as state:
+        for grads, loss, rows, sign in steps(work, state):
+            if not np.isfinite(loss):
+                raise DivergenceError(state.step)
+            apply_sgd_step(work, grads, state, cfg, sign=sign)
+            visits += rows
     check_finite(work, state.step)
     return work, visits
 
@@ -372,7 +478,8 @@ def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParam
     Runs epochs * ceil(N / batch_size) steps.  Raises DivergenceError with
     the step index if the loss goes non-finite.
     """
-    work, _ = sgd_loop(params, cfg, cross_entropy_steps(dataset.X, lambda _: dataset.y, cfg))
+    work, _ = sgd_loop(params, cfg, cross_entropy_steps(dataset.X, lambda _: dataset.y, cfg),
+                       n_steps=epoch_steps(dataset.n, cfg))
     return work
 
 

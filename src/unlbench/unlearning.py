@@ -25,6 +25,7 @@ from .model import (
     cross_entropy_grad_logits,
     cross_entropy_steps,
     epoch_batches,
+    epoch_steps,
     forward,
     grad_cross_entropy,
     init_params,
@@ -169,7 +170,8 @@ def unlearn_ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnRe
     if df.n == 0:
         raise DegenerateInputError("gradient ascent needs a nonempty forget set")
     params, visits = sgd_loop(theta_o, cfg.base,
-                              cross_entropy_steps(df.X, lambda _: df.y, cfg.base, sign=-1.0))
+                              cross_entropy_steps(df.X, lambda _: df.y, cfg.base, sign=-1.0),
+                              n_steps=epoch_steps(df.n, cfg.base))
     return UnlearnResult(params, visits)
 
 
@@ -186,7 +188,8 @@ def _rl_loop(theta_o, df, cfg: UnlearnConfig, mask=None) -> tuple:
     def labels(_epoch):
         return _random_relabel(df.y, num_classes, rel_rng)
 
-    return sgd_loop(theta_o, cfg.base, cross_entropy_steps(df.X, labels, cfg.base), mask=mask)
+    return sgd_loop(theta_o, cfg.base, cross_entropy_steps(df.X, labels, cfg.base), mask=mask,
+                    n_steps=epoch_steps(df.n, cfg.base))
 
 
 def unlearn_rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
@@ -217,7 +220,8 @@ def unlearn_pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnRe
         raise DegenerateInputError("pseudo labeling needs a nonempty forget set")
     targets = pseudo_labels(theta_o, df.X, np.unique(df.y))
     params, visits = sgd_loop(theta_o, cfg.base,
-                              cross_entropy_steps(df.X, lambda _: targets, cfg.base))
+                              cross_entropy_steps(df.X, lambda _: targets, cfg.base),
+                              n_steps=epoch_steps(df.n, cfg.base))
     return UnlearnResult(params, visits)
 
 
@@ -322,7 +326,8 @@ def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) ->
                                         cfg.base.freeze_encoder)
         return grads, loss, r_idx.size
 
-    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step))
+    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
+                              n_steps=epoch_steps(df.n, cfg.base))
     return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
 
 
@@ -423,7 +428,8 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
         )
         return grads, loss_c + w * loss_r, r_idx.size
 
-    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step))
+    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
+                              n_steps=epoch_steps(df.n, cfg.base))
     if skipped:
         log.info("CU skipped %d anchors lacking positives", skipped)
     return UnlearnResult(params, visits, {"skipped_anchors": skipped})
@@ -474,7 +480,8 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 grads = backward(work, cache, d_logits=d_kl + d_ce, freeze_encoder=freeze)
                 yield grads, kl + ce, idx.size, 1.0
 
-    params, visits = sgd_loop(theta_o, cfg.base, steps)
+    n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
+    params, visits = sgd_loop(theta_o, cfg.base, steps, n_steps=n_steps)
     return UnlearnResult(params, visits)
 
 

@@ -312,6 +312,25 @@ class TestSweeps:
         assert [line[-1] for line in lines] == [
             "status", "ok", "DivergenceError: non-finite loss at training step 1"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_features_become_nan_cells(self):
+        # At lr 1e100 GA's one-epoch run ends finite but its features
+        # overflow; four epochs diverge.  Both cells are reported.
+        ga = UnlearnConfig("GA", TrainConfig(lr=5.0, epochs=2, momentum=0.0, batch_size=16))
+        cfg = mini_config(methods=(ga,))
+        ctx = build_scenario(cfg)
+        grid, text = sweep_hyperparameters(cfg, "GA", [1e100], [1, 4], ctx=ctx)
+        assert np.isnan(grid).all()
+        status = list(csv.reader(io.StringIO(text)))[1][-1]
+        assert status.startswith("epochs=1: NonFiniteError: features contains "
+                                 "non-finite entries; epochs=4: DivergenceError: ")
+
+        cfg = mini_config(methods=(replace(ga, base=replace(ga.base, lr=1e100, epochs=1)),))
+        rows, text = sweep_dp_noise(cfg, "GA", [0.0, 0.1], ctx=ctx)
+        assert [len(r) for r in rows] == [4, 4] and np.isnan([r[1:] for r in rows]).all()
+        assert [line[-1] for line in csv.reader(io.StringIO(text))][1:] == [
+            "NonFiniteError: features contains non-finite entries"] * 2
+
     def test_unknown_method_rejected(self):
         cfg = mini_config()
         from unlbench.errors import ConfigError

@@ -1,5 +1,9 @@
 """Forward/backward correctness, SGD contracts, and checkpointing."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from unlbench.model import (
     BLOCKS,
     MlpParams,
     ModelCheckpoint,
+    NOISE_CHUNK_STEPS,
+    NoiseFeed,
     STREAM_NOISE,
     TrainConfig,
     _forward_cache,
@@ -26,6 +32,9 @@ from unlbench.model import (
     softmax,
 )
 from unlbench.rng import make_rng
+
+
+ENCODER = ("W1", "b1", "W2", "b2")
 
 
 def tiny_params(seed=0, ambient=5, hidden=7, feat=3, classes=4, scale=0.3):
@@ -183,6 +192,15 @@ class TestSgdTrain:
             assert np.array_equal(getattr(p, b), getattr(out, b))
         assert not np.array_equal(p.Whead, out.Whead)
 
+    def test_freeze_encoder_with_noise_keeps_encoder_bits(self):
+        p = init_params(6, 3, 4)
+        cfg = TrainConfig(lr=0.1, epochs=2, seed=4, freeze_encoder=True,
+                          grad_noise_sigma=0.1)
+        out = sgd_train(p, self.data, cfg)
+        for b in ENCODER:
+            assert np.array_equal(getattr(p, b), getattr(out, b)), b
+        assert not np.array_equal(p.Whead, out.Whead)
+
     def test_zero_noise_path_bit_identical_to_noiseless(self):
         cfg0 = TrainConfig(lr=0.05, epochs=2, seed=6, grad_noise_sigma=0.0)
         a = sgd_train(init_params(6, 3, 6), self.data, cfg0)
@@ -212,11 +230,16 @@ class TestSgdTrain:
 
 
 def oracle_sgd_step(params, grads, velocity, noise_rng, cfg, sign=1.0, mask=None):
-    """The SGD update block by block, each operation on a fresh temporary."""
+    """The SGD update block by block, each operation on a fresh temporary.
+
+    Noise is drawn for every block; under freeze_encoder the encoder's
+    blocks are then left as they are."""
     for b in BLOCKS:
         g = sign * grads[b]
         if noise_rng is not None:
             g = g + cfg.grad_noise_sigma * noise_rng.standard_normal(g.shape)
+        if cfg.freeze_encoder and b in ENCODER:
+            continue
         v = velocity[b]
         v *= cfg.momentum
         v += g
@@ -232,12 +255,14 @@ class TestFlatSgdStep:
     """sgd_loop's flat-vector update against the per-block oracle."""
 
     N_STEPS = 9
+    # Runs that cross two noise-chunk boundaries, and one that ends on one.
+    LONG_RUNS = (2 * NOISE_CHUNK_STEPS + 5, 2 * NOISE_CHUNK_STEPS)
 
     def setup_method(self):
         rng = make_rng(12, 0)
         self.x = rng.standard_normal((40, 5))
         self.y = rng.integers(0, 4, 40)
-        self.batches = [rng.permutation(40)[:8] for _ in range(self.N_STEPS)]
+        self.batches = [rng.permutation(40)[:8] for _ in range(max(self.LONG_RUNS))]
         self.theta = tiny_params(12)
         self.mask = {b: (rng.random(getattr(self.theta, b).shape) < 0.5).astype(float)
                      for b in BLOCKS}
@@ -246,26 +271,46 @@ class TestFlatSgdStep:
         idx = self.batches[i]
         return grad_cross_entropy(params, self.x[idx], self.y[idx], cfg.freeze_encoder)
 
-    def _oracle(self, cfg, sign, mask):
+    def _oracle(self, cfg, sign, mask, n_steps):
         params = self.theta.copy()
         velocity = {b: np.zeros_like(getattr(params, b)) for b in BLOCKS}
         noise = make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None
-        for i in range(self.N_STEPS):
+        for i in range(n_steps):
             grads, _ = self._grads(params, i, cfg)
             oracle_sgd_step(params, grads, velocity, noise, cfg, sign, mask)
         return params, noise
 
-    def _flat(self, cfg, sign, mask):
+    def _flat(self, cfg, sign, mask, n_steps, length="exact"):
+        """The run through sgd_loop, told it lasts `length` steps (n_steps
+        by default); returns (params, state, noise), where noise is the
+        vector the feed hands out after the last step (None without
+        noise)."""
         seen = {}
 
         def steps(work, state):
             seen["state"] = state
-            for i in range(self.N_STEPS):
+            for i in range(n_steps):
                 grads, loss = self._grads(work, i, cfg)
                 yield grads, loss, 8, sign
-        params, visits = sgd_loop(self.theta, cfg, steps, mask=mask)
-        assert visits == 8 * self.N_STEPS
-        return params, seen["state"]
+            seen["noise"] = None if state.noise is None else state.noise.next().copy()
+        params, visits = sgd_loop(self.theta, cfg, steps, mask=mask,
+                                  n_steps=n_steps if length == "exact" else length)
+        assert visits == 8 * n_steps
+        return params, seen["state"], seen["noise"]
+
+    def _check_against_oracle(self, cfg, sign, mask, n_steps, length="exact"):
+        want, want_noise = self._oracle(cfg, sign, mask, n_steps)
+        got, state, next_noise = self._flat(cfg, sign, mask, n_steps, length)
+        assert state.step == n_steps
+        for b in BLOCKS:
+            assert np.array_equal(getattr(got, b), getattr(want, b)), b
+        if want_noise is None:
+            assert state.noise is None and next_noise is None
+        else:
+            # The feed stands where the oracle's stream stands: its next
+            # vector is sigma times the stream's next n normals.
+            assert np.array_equal(next_noise, cfg.grad_noise_sigma
+                                  * want_noise.standard_normal(state.params.size))
 
     @pytest.mark.parametrize("sign, knobs, masked", [
         (1.0, {}, False),
@@ -279,34 +324,194 @@ class TestFlatSgdStep:
     ])
     def test_matches_per_block_oracle_bit_for_bit(self, sign, knobs, masked):
         cfg = TrainConfig(lr=0.05, epochs=1, seed=3, **knobs)
-        mask = self.mask if masked else None
-        want, want_noise = self._oracle(cfg, sign, mask)
-        got, state = self._flat(cfg, sign, mask)
-        assert state.step == self.N_STEPS
-        for b in BLOCKS:
-            assert np.array_equal(getattr(got, b), getattr(want, b)), b
-        if want_noise is None:
-            assert state.noise_rng is None
-        else:
-            # Both streams stop at the same position.
-            assert np.array_equal(state.noise_rng.standard_normal(7),
-                                  want_noise.standard_normal(7))
+        self._check_against_oracle(cfg, sign, self.mask if masked else None, self.N_STEPS)
+
+    # The length sgd_loop is told: the run's own (drawn ahead), none (drawn
+    # inline), one past a chunk (ahead, then inline), or too long (the
+    # helper's fills past the last step are dropped).
+    @pytest.mark.parametrize("length", ["exact", None, NOISE_CHUNK_STEPS + 1, 1000])
+    @pytest.mark.parametrize("n_steps", LONG_RUNS)
+    @pytest.mark.parametrize("sign, knobs, masked", [
+        (1.0, {"grad_noise_sigma": 0.05}, False),
+        (-1.0, {"nesterov": True, "grad_noise_sigma": 0.03, "momentum": 0.7}, True),
+        (1.0, {"freeze_encoder": True, "grad_noise_sigma": 0.02}, True),
+    ])
+    def test_long_runs_match_oracle_across_noise_chunks(self, sign, knobs, masked, n_steps,
+                                                        length):
+        cfg = TrainConfig(lr=0.002, epochs=1, seed=5, **knobs)
+        self._check_against_oracle(cfg, sign, self.mask if masked else None, n_steps, length)
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_result_shares_no_memory_with_input(self, epochs):
         before = self.theta.content_hash()
         cfg = TrainConfig(lr=0.05, epochs=epochs, seed=3)
-        out, _ = self._flat(cfg, 1.0, None) if epochs else (
-            sgd_loop(self.theta, cfg, None)[0], None)
+        out = self._flat(cfg, 1.0, None, self.N_STEPS)[0] if epochs else (
+            sgd_loop(self.theta, cfg, None)[0])
         for b in BLOCKS:
             assert not np.shares_memory(getattr(out, b), getattr(self.theta, b)), b
         assert self.theta.content_hash() == before
 
     def test_two_runs_from_one_theta_give_one_hash(self):
         cfg = TrainConfig(lr=0.05, epochs=1, seed=3, nesterov=True, grad_noise_sigma=0.01)
-        a, _ = self._flat(cfg, -1.0, self.mask)
-        b, _ = self._flat(cfg, -1.0, self.mask)
+        a = self._flat(cfg, -1.0, self.mask, self.N_STEPS)[0]
+        b = self._flat(cfg, -1.0, self.mask, self.N_STEPS)[0]
         assert a.content_hash() == b.content_hash()
+
+
+def noise_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("unlbench-noise")]
+
+
+class _SlowRng:
+    """A noise generator whose draws take 50 ms each and give zeros."""
+
+    def standard_normal(self, out):
+        time.sleep(0.05)
+        out[...] = 0.0
+
+
+class _FailingRng:
+    """A noise generator whose draws raise after `good` successful ones."""
+
+    def __init__(self, good=0):
+        self.good = good
+
+    def standard_normal(self, out):
+        if self.good == 0:
+            raise RuntimeError("stub draw failed")
+        self.good -= 1
+        out[...] = 0.0
+
+
+class TestNoiseFeedThreads:
+    """A noisy run's helper thread never outlives the run, and its failures
+    surface in the caller."""
+
+    def setup_method(self):
+        rng = make_rng(14, 0)
+        self.theta = tiny_params(14)
+        self.x = rng.standard_normal((16, 5))
+        self.y = rng.integers(0, 4, 16)
+        assert noise_threads() == []
+
+    def teardown_method(self):
+        assert noise_threads() == []
+
+    def _steps(self, n_steps, fail_at=None, exc=None, seen=None):
+        def steps(work, state):
+            for i in range(n_steps):
+                if seen is not None:
+                    seen.append(len(noise_threads()))
+                grads, loss = grad_cross_entropy(work, self.x, self.y)
+                if i == fail_at:
+                    if exc is None:
+                        loss = float("nan")
+                    else:
+                        raise exc
+                yield grads, loss, 16, 1.0
+        return steps
+
+    # Only a noisy run known to last more than one chunk starts a helper,
+    # on its first update.
+    @pytest.mark.parametrize("sigma, n_steps, length, threads", [
+        (0.0, NOISE_CHUNK_STEPS + 3, NOISE_CHUNK_STEPS + 3, 0),
+        (0.1, NOISE_CHUNK_STEPS + 3, NOISE_CHUNK_STEPS + 3, 1),
+        (0.1, NOISE_CHUNK_STEPS, NOISE_CHUNK_STEPS, 0),
+        (0.1, NOISE_CHUNK_STEPS + 3, None, 0),
+    ])
+    def test_run_ending_normally(self, sigma, n_steps, length, threads):
+        seen = []
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=sigma)
+        sgd_loop(self.theta, cfg, self._steps(n_steps, seen=seen), n_steps=length)
+        assert seen[0] == 0 and set(seen[1:]) == {threads}
+
+    @pytest.mark.parametrize("steps", [NOISE_CHUNK_STEPS + 1, 2 * NOISE_CHUNK_STEPS,
+                                       2 * NOISE_CHUNK_STEPS + 5])
+    def test_helper_draws_nothing_past_the_run(self, steps):
+        rng, oracle = make_rng(9, STREAM_NOISE), make_rng(9, STREAM_NOISE)
+        feed = NoiseFeed(rng, 11, 0.5, steps)
+        try:
+            rows = [feed.next().copy() for _ in range(steps)]
+        finally:
+            feed.close()
+        assert np.array_equal(np.array(rows), 0.5 * oracle.standard_normal((steps, 11)))
+        # The generator stands right after the run's last row.
+        assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
+
+    def test_run_raising_mid_fill_joins_the_helper(self, monkeypatch):
+        # The slow generator keeps the helper inside its third fill when
+        # the steps raise at step 70; sgd_loop returns only after the join.
+        import unlbench.model as model
+
+        def rng_for(seed, stream):
+            return _SlowRng() if stream == STREAM_NOISE else make_rng(seed, stream)
+        monkeypatch.setattr(model, "make_rng", rng_for)
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
+        with pytest.raises(LabelError):
+            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70, exc=LabelError("bad")),
+                     n_steps=200)
+        assert noise_threads() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_mid_run(self):
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
+        with pytest.raises(DivergenceError) as err:
+            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70), n_steps=200)
+        assert err.value.step == 70
+
+    def test_steps_generator_raising_mid_run(self):
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
+        with pytest.raises(LabelError):
+            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70, exc=LabelError("bad")),
+                     n_steps=200)
+
+    @pytest.mark.parametrize("good", [0, 1])
+    def test_helper_failure_raises_in_caller(self, monkeypatch, good):
+        import unlbench.model as model
+
+        def rng_for(seed, stream):
+            return _FailingRng(good) if stream == STREAM_NOISE else make_rng(seed, stream)
+        monkeypatch.setattr(model, "make_rng", rng_for)
+        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
+        outcome = {}
+
+        def run():
+            try:
+                sgd_loop(self.theta, cfg, self._steps(3 * NOISE_CHUNK_STEPS),
+                         n_steps=3 * NOISE_CHUNK_STEPS)
+            except RuntimeError as exc:
+                outcome["exc"] = exc
+        # On a daemon thread, so that a hang fails the test instead of the suite.
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=20)
+        assert not worker.is_alive()
+        assert str(outcome["exc"]) == "stub draw failed"
+
+    def test_concurrent_runs_under_fast_switching_keep_their_bits(self):
+        # Four noisy runs at once (eight threads on fewer cores), switching
+        # threads every microsecond: a buffer handed back too early or a
+        # row read twice would change some run's bits from those of the
+        # run drawn inline.
+        cfg = TrainConfig(lr=0.01, epochs=1, seed=2, grad_noise_sigma=0.1)
+        n_steps = 3 * NOISE_CHUNK_STEPS + 1
+        steps = self._steps(n_steps)
+        want = sgd_loop(self.theta, cfg, steps)[0].content_hash()
+        got = []
+        workers = [threading.Thread(target=lambda: got.append(
+            sgd_loop(self.theta, cfg, steps, n_steps=n_steps)[0].content_hash()), daemon=True)
+            for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [want] * 4
 
 
 class TestLeanBackprop:
