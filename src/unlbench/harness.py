@@ -66,8 +66,9 @@ MIN_PROBE_ROWS = 3
 
 
 def default_method_config(method: str) -> UnlearnConfig:
-    """Desk-scale per-method defaults, grid-searched once on the shipped
-    default scenario so each method lands in its characteristic regime."""
+    """Desk-scale per-method defaults, chosen once on the shipped default
+    scenario.  FT and CU do not forget at theirs: their forget accuracy
+    stays at theta_o's 1.0 there, so their AGL and H-LR read 0."""
     presets = {
         "FT": dict(base=TrainConfig(lr=0.1, epochs=10)),
         # Ascent on a converged model only escapes saturation at a large

@@ -179,12 +179,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None,
-             freeze_encoder: bool = False) -> dict:
+def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None) -> dict:
     """Backpropagate loss gradients taken w.r.t. logits and/or features.
 
-    Returns a dict of gradients matching the parameter blocks.  With
-    freeze_encoder the four encoder gradients are exactly zero.
+    Returns a dict of gradients matching all six parameter blocks; which
+    of them an SGD run applies is SgdState's decision.
     """
     feats = cache["feats"]
     if d_logits is not None:
@@ -197,12 +196,6 @@ def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None,
         d_whead = np.zeros_like(params.Whead)
         d_bhead = np.zeros_like(params.bhead)
         d_a2 = d_feats
-    if freeze_encoder:
-        return {
-            "W1": np.zeros_like(params.W1), "b1": np.zeros_like(params.b1),
-            "W2": np.zeros_like(params.W2), "b2": np.zeros_like(params.b2),
-            "Whead": d_whead, "bhead": d_bhead,
-        }
     # d_a2 is the caller's d_feats when there is no d_logits: mask a copy.
     d_a2 = np.multiply(d_a2, cache["a2"] > 0, out=None if d_logits is None else d_a2)
     d_w2 = cache["h1"].T @ d_a2
@@ -227,8 +220,7 @@ def cross_entropy_grad_logits(logits: np.ndarray, y: np.ndarray):
     return loss, d_logits
 
 
-def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray,
-                       freeze_encoder: bool = False):
+def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray):
     """Gradients of mean cross-entropy over the batch; returns (grads, loss)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -241,7 +233,7 @@ def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray,
         )
     cache = _forward_cache(params, x)
     loss, d_logits = cross_entropy_grad_logits(cache["logits"], y)
-    return backward(params, cache, d_logits=d_logits, freeze_encoder=freeze_encoder), loss
+    return backward(params, cache, d_logits=d_logits), loss
 
 
 def _flat(blocks: dict) -> np.ndarray:
@@ -321,10 +313,11 @@ class SgdState:
     params holds the run's six blocks end to end in BLOCKS order, and the
     working copy's blocks are views of it.  The run trains params[start:]:
     all of it, or under freeze_encoder the head only, so a frozen block
-    never changes.  grad, velocity, scratch and mask (the flattened update
-    mask or None) are vectors over that trained tail, and grad_views are
-    grad's per-block views, so each step is a handful of whole-vector
-    in-place ufunc calls.  noise is the run's NoiseFeed when
+    never changes; gradients cover all six blocks, and only the trained
+    ones are copied in.  grad, velocity, scratch and mask (the update
+    mask's trained tail or None) are vectors over that tail, and
+    grad_views are grad's per-block views, so each step is a handful of
+    whole-vector in-place ufunc calls.  noise is the run's NoiseFeed when
     grad_noise_sigma > 0, else None.  Used as a context manager, the state
     stops the feed's helper thread, if one started, on every exit.
     """
@@ -340,13 +333,14 @@ class SgdState:
     step: int = 0
 
     @staticmethod
-    def create(params: MlpParams, cfg: TrainConfig, mask: dict | None = None,
+    def create(params: MlpParams, cfg: TrainConfig, mask: np.ndarray | None = None,
                steps: int | None = None) -> "SgdState":
         """Copy params' blocks into one vector and rebind them to views of it.
 
-        steps is the run's length if known.  Only then can a noisy run's
-        feed draw ahead on a helper thread, so a caller that gives it must
-        run the steps in a with block over the state.
+        mask, if given, is a 0/1 vector laid out like that one.  steps is
+        the run's length if known.  Only then can a noisy run's feed draw
+        ahead on a helper thread, so a caller that gives it must run the
+        steps in a with block over the state.
         """
         flat = _flat(vars(params))
         for b, view in _views(flat, params).items():
@@ -367,7 +361,7 @@ class SgdState:
             grad=grad,
             grad_views=_views(grad, params, trained),
             scratch=np.empty_like(grad),
-            mask=None if mask is None else _flat(mask)[start:],
+            mask=None if mask is None else mask[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
             noise=noise,
         )
@@ -380,7 +374,7 @@ class SgdState:
             self.noise.close()
 
 
-def apply_sgd_step(params: MlpParams, grads: dict, state: SgdState, cfg: TrainConfig,
+def apply_sgd_step(grads: dict, state: SgdState, cfg: TrainConfig,
                    sign: float = 1.0) -> None:
     """One in-place SGD update of the params state was created from.
 
@@ -429,7 +423,7 @@ def epoch_steps(n: int, cfg: TrainConfig) -> int:
     return cfg.epochs * -(-n // cfg.batch_size)
 
 
-def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = None,
+def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None = None,
              n_steps: int | None = None) -> tuple:
     """The SGD driver every training and unlearning loop runs on.
 
@@ -437,7 +431,8 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = Non
     (grads, loss, rows, sign) once per update; it computes each gradient
     after the previous update, so every stream draws in a fixed order.
     The working copy's blocks are views of one flat vector (SgdState), so
-    each update runs on whole vectors and the mask is flattened once.
+    each update runs on whole vectors; mask is a 0/1 vector over that
+    flat layout (see SgdState.create).
     n_steps, the number of updates steps yields, lets a long noisy run
     draw its noise ahead on a helper thread (see NoiseFeed), which is
     stopped and joined on every exit; the bits do not depend on it.
@@ -453,7 +448,7 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: dict | None = Non
         for grads, loss, rows, sign in steps(work, state):
             if not np.isfinite(loss):
                 raise DivergenceError(state.step)
-            apply_sgd_step(work, grads, state, cfg, sign=sign)
+            apply_sgd_step(grads, state, cfg, sign=sign)
             visits += rows
     check_finite(work, state.step)
     return work, visits
@@ -467,7 +462,7 @@ def cross_entropy_steps(x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
         for epoch in range(cfg.epochs):
             y = labels_for_epoch(epoch)
             for idx in epoch_batches(x.shape[0], cfg.batch_size, state.shuffle_rng):
-                grads, loss = grad_cross_entropy(work, x[idx], y[idx], cfg.freeze_encoder)
+                grads, loss = grad_cross_entropy(work, x[idx], y[idx])
                 yield grads, loss, idx.size, sign
     return steps
 
@@ -475,9 +470,12 @@ def cross_entropy_steps(x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
 def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParams:
     """Minibatch SGD on cross-entropy; returns updated parameters.
 
-    Runs epochs * ceil(N / batch_size) steps.  Raises DivergenceError with
-    the step index if the loss goes non-finite.
+    Runs epochs * ceil(N / batch_size) steps.  Raises DegenerateInputError
+    on an empty dataset, and DivergenceError with the step index if the
+    loss goes non-finite.
     """
+    if dataset.n == 0:
+        raise DegenerateInputError("training needs a nonempty dataset")
     work, _ = sgd_loop(params, cfg, cross_entropy_steps(dataset.X, lambda _: dataset.y, cfg),
                        n_steps=epoch_steps(dataset.n, cfg))
     return work

@@ -33,6 +33,7 @@ from .model import (
     sgd_loop,
     sgd_train,
     softmax,
+    _flat,
     _forward_cache,
 )
 from .rng import make_rng
@@ -101,10 +102,14 @@ class UnlearnResult:
     stats: dict = field(default_factory=dict)
 
 
+def _class_means(feats: np.ndarray, y: np.ndarray, classes) -> Centroids:
+    means = np.vstack([feats[y == c].mean(axis=0) for c in classes])
+    return Centroids(tuple(int(c) for c in classes), means)
+
+
 def compute_centroids(params: MlpParams, dataset: Dataset, classes) -> Centroids:
     feats, _ = forward(params, dataset.X)
-    means = np.vstack([feats[dataset.y == c].mean(axis=0) for c in classes])
-    return Centroids(tuple(int(c) for c in classes), means)
+    return _class_means(feats, dataset.y, classes)
 
 
 def compute_shared_covariance(params: MlpParams, dataset: Dataset, classes,
@@ -115,8 +120,8 @@ def compute_shared_covariance(params: MlpParams, dataset: Dataset, classes,
     not positive definite; diagonal entries are floored so the precision
     always exists.
     """
-    cents = compute_centroids(params, dataset, classes)
     feats, _ = forward(params, dataset.X)
+    cents = _class_means(feats, dataset.y, classes)
     centered = np.empty_like(feats)
     for i, c in enumerate(cents.classes):
         mask = dataset.y == c
@@ -238,19 +243,12 @@ def top_fraction_mask(scores: np.ndarray, fraction: float) -> np.ndarray:
     return chosen
 
 
-def saliency_mask(theta_o: MlpParams, df: Dataset, fraction: float) -> dict:
-    """Mask of the top `fraction` of parameters by forget-loss gradient
-    magnitude, ranked globally over all blocks."""
+def saliency_mask(theta_o: MlpParams, df: Dataset, fraction: float) -> np.ndarray:
+    """0/1 mask of the top `fraction` of parameters by forget-loss gradient
+    magnitude, ranked globally over all blocks laid end to end in BLOCKS
+    order."""
     grads, _ = grad_cross_entropy(theta_o, df.X, df.y)
-    flat = np.concatenate([np.abs(grads[b]).ravel() for b in BLOCKS])
-    chosen = top_fraction_mask(flat, fraction)
-    mask = {}
-    offset = 0
-    for b in BLOCKS:
-        size = getattr(theta_o, b).size
-        mask[b] = chosen[offset:offset + size].reshape(getattr(theta_o, b).shape)
-        offset += size
-    return mask
+    return top_fraction_mask(np.abs(_flat(grads)), fraction)
 
 
 def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
@@ -259,8 +257,7 @@ def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> Unlear
         raise DegenerateInputError("SalUn needs a nonempty forget set")
     mask = saliency_mask(theta_o, df, cfg.saliency_fraction)
     params, visits = _rl_loop(theta_o, df, cfg, mask=mask)
-    masked_count = int(sum(m.sum() for m in mask.values()))
-    return UnlearnResult(params, visits, {"masked_parameters": masked_count})
+    return UnlearnResult(params, visits, {"masked_parameters": int(mask.sum())})
 
 
 def _two_set_steps(df: Dataset, dr: Dataset, cfg: TrainConfig, step_fn):
@@ -294,7 +291,7 @@ def nearest_centroids(feats: np.ndarray, centroids: Centroids) -> tuple:
     return np.argmin(d, axis=1), d
 
 
-def _realignment_step(work, x_f, dr, r_idx, centroids, cfg, freeze):
+def _realignment_step(work, x_f, dr, r_idx, centroids, cfg):
     """Distance-to-nearest-centroid loss on forget rows + weighted retain CE."""
     cache_f = _forward_cache(work, x_f)
     feats = cache_f["feats"]
@@ -307,8 +304,8 @@ def _realignment_step(work, x_f, dr, r_idx, centroids, cfg, freeze):
         p_diff = diff @ centroids.precision
         loss_f = float(np.einsum("nd,nd->n", diff, p_diff).mean())
         d_feats = 2.0 * p_diff / feats.shape[0]
-    grads = backward(work, cache_f, d_feats=d_feats, freeze_encoder=freeze)
-    grads_r, loss_r = grad_cross_entropy(work, dr.X[r_idx], dr.y[r_idx], freeze)
+    grads = backward(work, cache_f, d_feats=d_feats)
+    grads_r, loss_r = grad_cross_entropy(work, dr.X[r_idx], dr.y[r_idx])
     w = cfg.retain_loss_weight
     return _add_grads(grads, grads_r, w), loss_f + w * loss_r
 
@@ -322,8 +319,7 @@ def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) ->
 
     def step(work, f_idx, retain):
         r_idx = retain.next()
-        grads, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg,
-                                        cfg.base.freeze_encoder)
+        grads, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg)
         return grads, loss, r_idx.size
 
     params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
@@ -406,7 +402,6 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
         raise DegenerateInputError("CU needs nonempty forget and retain sets")
     tau = cfg.contrast_temperature
     w = cfg.retain_loss_weight
-    freeze = cfg.base.freeze_encoder
     skipped = 0
 
     def step(work, f_idx, retain):
@@ -421,11 +416,8 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
         )
         skipped += int((~kept).sum())
         loss_r, d_logits_r = cross_entropy_grad_logits(cache_r["logits"], dr.y[r_idx])
-        grads = _add_grads(
-            backward(work, cache_a, d_feats=d_a, freeze_encoder=freeze),
-            backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r,
-                     freeze_encoder=freeze),
-        )
+        grads = _add_grads(backward(work, cache_a, d_feats=d_a),
+                           backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r))
         return grads, loss_c + w * loss_r, r_idx.size
 
     params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
@@ -457,7 +449,6 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
     if df.n == 0 or dr.n == 0:
         raise DegenerateInputError("SCRUB needs nonempty forget and retain sets")
     temp = cfg.distill_temperature
-    freeze = cfg.base.freeze_encoder
     batch_size = cfg.base.batch_size
 
     def steps(work, state):
@@ -469,7 +460,7 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 _, t_logits = forward(theta_o, df.X[idx])
                 cache = _forward_cache(work, df.X[idx])
                 kl, d_logits = kl_teacher_student(t_logits, cache["logits"], temp)
-                grads = backward(work, cache, d_logits=d_logits, freeze_encoder=freeze)
+                grads = backward(work, cache, d_logits=d_logits)
                 yield grads, kl, idx.size, -1.0
             for _ in range(cfg.scrub_min_steps_per_epoch):
                 idx = retain.next()
@@ -477,7 +468,7 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 cache = _forward_cache(work, dr.X[idx])
                 kl, d_kl = kl_teacher_student(t_logits, cache["logits"], temp)
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
-                grads = backward(work, cache, d_logits=d_kl + d_ce, freeze_encoder=freeze)
+                grads = backward(work, cache, d_logits=d_kl + d_ce)
                 yield grads, kl + ce, idx.size, 1.0
 
     n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
@@ -488,8 +479,6 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
 def retrain_gold(dr: Dataset, base_cfg: TrainConfig, hidden: int = DEFAULT_HIDDEN,
                  feat_dim: int = DEFAULT_FEAT) -> UnlearnResult:
     """Train from a fresh seeded initialization on the retain set only."""
-    if dr.n == 0:
-        raise DegenerateInputError("retraining needs a nonempty retain set")
     params = init_params(dr.X.shape[1], dr.num_classes, base_cfg.seed, hidden, feat_dim)
     params = sgd_train(params, dr, base_cfg)
     return UnlearnResult(params, base_cfg.epochs * dr.n)

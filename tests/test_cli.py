@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unlbench.cli import main
+from unlbench.data import Dataset, save_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -221,6 +222,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "pl")]) == 0
         bare.write_text(json.dumps({"version": 1, **MINI_DATA}))
         assert main(["gen-data", "--config", str(bare), "--out", str(tmp_path / "data")]) == 0
+
+    def test_training_on_an_empty_dataset_is_runtime_error(self, tmp_path, capsys):
+        save_dataset(Dataset(np.empty((0, 16)), np.empty(0, dtype=np.int64), 6),
+                     tmp_path / "empty")
+        assert main(["train", "--data", str(tmp_path / "empty"),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+        assert "DegenerateInputError" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("block, message", [
         ({"method": "PL", "lr_grids": [0.5], "epoch_grid": [1]}, "sweep.lr_grids"),

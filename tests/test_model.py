@@ -137,15 +137,6 @@ class TestGradients:
             denom = max(np.abs(num).max(), 1e-8)
             assert np.abs(grads[b] - num).max() / denom < 1e-4, b
 
-    def test_freeze_encoder_zeroes_encoder_blocks(self):
-        p = tiny_params(3)
-        rng = make_rng(3, 7)
-        grads, _ = grad_cross_entropy(p, rng.standard_normal((4, 5)),
-                                      rng.integers(0, 4, 4), freeze_encoder=True)
-        for b in ("W1", "b1", "W2", "b2"):
-            assert np.all(grads[b] == 0.0)
-        assert np.abs(grads["Whead"]).max() > 0
-
     def test_bad_label_rejected(self):
         with pytest.raises(LabelError):
             grad_cross_entropy(tiny_params(0), np.ones((1, 5)), np.array([4]))
@@ -264,19 +255,21 @@ class TestFlatSgdStep:
         self.y = rng.integers(0, 4, 40)
         self.batches = [rng.permutation(40)[:8] for _ in range(max(self.LONG_RUNS))]
         self.theta = tiny_params(12)
-        self.mask = {b: (rng.random(getattr(self.theta, b).shape) < 0.5).astype(float)
-                     for b in BLOCKS}
+        # The oracle takes the mask per block, sgd_loop as one flat vector.
+        self.block_mask = {b: (rng.random(getattr(self.theta, b).shape) < 0.5).astype(float)
+                           for b in BLOCKS}
+        self.mask = np.concatenate([self.block_mask[b].ravel() for b in BLOCKS])
 
-    def _grads(self, params, i, cfg):
+    def _grads(self, params, i):
         idx = self.batches[i]
-        return grad_cross_entropy(params, self.x[idx], self.y[idx], cfg.freeze_encoder)
+        return grad_cross_entropy(params, self.x[idx], self.y[idx])
 
     def _oracle(self, cfg, sign, mask, n_steps):
         params = self.theta.copy()
         velocity = {b: np.zeros_like(getattr(params, b)) for b in BLOCKS}
         noise = make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None
         for i in range(n_steps):
-            grads, _ = self._grads(params, i, cfg)
+            grads, _ = self._grads(params, i)
             oracle_sgd_step(params, grads, velocity, noise, cfg, sign, mask)
         return params, noise
 
@@ -290,7 +283,7 @@ class TestFlatSgdStep:
         def steps(work, state):
             seen["state"] = state
             for i in range(n_steps):
-                grads, loss = self._grads(work, i, cfg)
+                grads, loss = self._grads(work, i)
                 yield grads, loss, 8, sign
             seen["noise"] = None if state.noise is None else state.noise.next().copy()
         params, visits = sgd_loop(self.theta, cfg, steps, mask=mask,
@@ -298,9 +291,11 @@ class TestFlatSgdStep:
         assert visits == 8 * n_steps
         return params, seen["state"], seen["noise"]
 
-    def _check_against_oracle(self, cfg, sign, mask, n_steps, length="exact"):
-        want, want_noise = self._oracle(cfg, sign, mask, n_steps)
-        got, state, next_noise = self._flat(cfg, sign, mask, n_steps, length)
+    def _check_against_oracle(self, cfg, sign, masked, n_steps, length="exact"):
+        want, want_noise = self._oracle(cfg, sign, self.block_mask if masked else None,
+                                        n_steps)
+        got, state, next_noise = self._flat(cfg, sign, self.mask if masked else None,
+                                            n_steps, length)
         assert state.step == n_steps
         for b in BLOCKS:
             assert np.array_equal(getattr(got, b), getattr(want, b)), b
@@ -324,7 +319,7 @@ class TestFlatSgdStep:
     ])
     def test_matches_per_block_oracle_bit_for_bit(self, sign, knobs, masked):
         cfg = TrainConfig(lr=0.05, epochs=1, seed=3, **knobs)
-        self._check_against_oracle(cfg, sign, self.mask if masked else None, self.N_STEPS)
+        self._check_against_oracle(cfg, sign, masked, self.N_STEPS)
 
     # The length sgd_loop is told: the run's own (drawn ahead), none (drawn
     # inline), one past a chunk (ahead, then inline), or too long (the
@@ -339,7 +334,7 @@ class TestFlatSgdStep:
     def test_long_runs_match_oracle_across_noise_chunks(self, sign, knobs, masked, n_steps,
                                                         length):
         cfg = TrainConfig(lr=0.002, epochs=1, seed=5, **knobs)
-        self._check_against_oracle(cfg, sign, self.mask if masked else None, n_steps, length)
+        self._check_against_oracle(cfg, sign, masked, n_steps, length)
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_result_shares_no_memory_with_input(self, epochs):
