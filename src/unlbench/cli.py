@@ -134,7 +134,15 @@ def _cmd_split(args) -> int:
         if not args.ranking:
             raise ConfigError("top split requires --ranking (JSON list of class ids)")
         ranking = json.loads(Path(args.ranking).read_text())
-        ids = [e["class"] if isinstance(e, dict) else e for e in ranking]
+        ids = [e.get("class") if isinstance(e, dict) else e for e in ranking]
+        if len(ids) < args.n:
+            raise ConfigError(f"--ranking has {len(ids)} entries, fewer than --n {args.n}")
+        for c in ids:
+            if not isinstance(c, int) or not 0 <= c < train.num_classes:
+                raise ConfigError(f"--ranking names class {c!r}, outside "
+                                  f"[0, {train.num_classes})")
+        if len(set(ids[:args.n])) < args.n:
+            raise ConfigError(f"--ranking repeats a class in its first {args.n} entries")
         split = split_top_forget(train, test, args.n, ids)
     save_split(split, args.out)
     print(f"split written to {args.out}; forget classes {list(split.forget_classes)}")

@@ -51,6 +51,8 @@ class DownstreamSpec(ConfigDict):
             raise ConfigError(f"{self.name}: anchor_similarity must be in [0, 1]")
         if self.num_classes < 2 or self.per_class < 1:
             raise ConfigError(f"{self.name}: need >= 2 classes and >= 1 sample per class")
+        if self.noise_sigma is not None and self.noise_sigma <= 0:
+            raise ConfigError(f"{self.name}: noise_sigma must be None or > 0")
 
 
 def default_downstream_specs() -> tuple:
@@ -80,6 +82,8 @@ class SyntheticSpec(ConfigDict):
             raise ConfigError("ambient_dim must be >= 2")
         if self.num_train_classes < 4:
             raise ConfigError("num_train_classes must be >= 4")
+        if self.per_class_train < 1 or self.per_class_test < 1:
+            raise ConfigError("per_class_train and per_class_test must be >= 1")
         if self.class_noise_sigma <= 0:
             raise ConfigError("class_noise_sigma must be > 0")
         names = [d.name for d in self.downstream_specs]

@@ -7,10 +7,11 @@ acceleration, and elementwise Gaussian gradient noise, fully deterministic
 given the config seed.
 
 During an SGD run the six blocks are views of one flat float64 vector,
-with flat velocity, gradient and scratch buffers beside it, so an update
-is a few whole-vector in-place ufunc calls.  Each element sees the same
-IEEE operations in the same order as a block-by-block update, so the bits
-do not depend on the layout.
+with flat velocity and scratch buffers beside it, and backward writes
+each step's gradient straight into one vector laid out the same way, so
+an update is a few whole-vector in-place ufunc calls.  Each element sees
+the same IEEE operations in the same order as a block-by-block update, so
+the bits do not depend on the layout.
 
 A run with grad_noise_sigma > 0 that lasts more than NOISE_CHUNK_STEPS
 steps uses a second thread: a NoiseFeed draws the run's noise stream
@@ -179,33 +180,35 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None) -> dict:
+def backward(params: MlpParams, cache: dict, d_logits=None, d_feats=None) -> np.ndarray:
     """Backpropagate loss gradients taken w.r.t. logits and/or features.
 
-    Returns a dict of gradients matching all six parameter blocks; which
-    of them an SGD run applies is SgdState's decision.
+    Returns one new float64 vector of all six blocks' gradients laid end
+    to end in BLOCKS order, each block written in place; which of them an
+    SGD run applies is SgdState's decision.
     """
+    grad = np.empty(sum(getattr(params, b).size for b in BLOCKS))
+    g = _views(grad, params)
     feats = cache["feats"]
     if d_logits is not None:
-        d_whead = feats.T @ d_logits
-        d_bhead = np.add.reduce(d_logits, axis=0)
+        np.matmul(feats.T, d_logits, out=g["Whead"])
+        np.add.reduce(d_logits, axis=0, out=g["bhead"])
         d_a2 = d_logits @ params.Whead.T
         if d_feats is not None:
             d_a2 += d_feats
     else:
-        d_whead = np.zeros_like(params.Whead)
-        d_bhead = np.zeros_like(params.bhead)
+        g["Whead"][...] = 0.0
+        g["bhead"][...] = 0.0
         d_a2 = d_feats
     # d_a2 is the caller's d_feats when there is no d_logits: mask a copy.
     d_a2 = np.multiply(d_a2, cache["a2"] > 0, out=None if d_logits is None else d_a2)
-    d_w2 = cache["h1"].T @ d_a2
-    d_b2 = np.add.reduce(d_a2, axis=0)
+    np.matmul(cache["h1"].T, d_a2, out=g["W2"])
+    np.add.reduce(d_a2, axis=0, out=g["b2"])
     d_a1 = d_a2 @ params.W2.T
     d_a1 *= cache["a1"] > 0
-    d_w1 = cache["x"].T @ d_a1
-    d_b1 = np.add.reduce(d_a1, axis=0)
-    return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2,
-            "Whead": d_whead, "bhead": d_bhead}
+    np.matmul(cache["x"].T, d_a1, out=g["W1"])
+    np.add.reduce(d_a1, axis=0, out=g["b1"])
+    return grad
 
 
 def cross_entropy_grad_logits(logits: np.ndarray, y: np.ndarray):
@@ -220,8 +223,9 @@ def cross_entropy_grad_logits(logits: np.ndarray, y: np.ndarray):
     return loss, d_logits
 
 
-def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Gradients of mean cross-entropy over the batch; returns (grads, loss)."""
+def cross_entropy_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
+    """Gradient of mean cross-entropy over the batch as one vector in
+    BLOCKS order (see backward); returns (gradient, loss)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0:
@@ -236,16 +240,18 @@ def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray):
     return backward(params, cache, d_logits=d_logits), loss
 
 
-def _flat(blocks: dict) -> np.ndarray:
-    """Per-block arrays laid end to end in BLOCKS order."""
-    return np.concatenate([blocks[b].ravel() for b in BLOCKS])
+def grad_cross_entropy(params: MlpParams, x: np.ndarray, y: np.ndarray):
+    """cross_entropy_gradient with the gradient split into per-block views;
+    returns (grads, loss)."""
+    grad, loss = cross_entropy_gradient(params, x, y)
+    return _views(grad, params), loss
 
 
-def _views(flat: np.ndarray, like: MlpParams, blocks=BLOCKS) -> dict:
+def _views(flat: np.ndarray, like: MlpParams) -> dict:
     """Block name -> view of flat shaped like that block of `like`, for
-    `blocks` laid end to end from flat's start."""
+    the six blocks laid end to end in BLOCKS order."""
     views, offset = {}, 0
-    for b in blocks:
+    for b in BLOCKS:
         block = getattr(like, b)
         views[b] = flat[offset:offset + block.size].reshape(block.shape)
         offset += block.size
@@ -313,19 +319,16 @@ class SgdState:
     params holds the run's six blocks end to end in BLOCKS order, and the
     working copy's blocks are views of it.  The run trains params[start:]:
     all of it, or under freeze_encoder the head only, so a frozen block
-    never changes; gradients cover all six blocks, and only the trained
-    ones are copied in.  grad, velocity, scratch and mask (the update
-    mask's trained tail or None) are vectors over that tail, and
-    grad_views are grad's per-block views, so each step is a handful of
-    whole-vector in-place ufunc calls.  noise is the run's NoiseFeed when
-    grad_noise_sigma > 0, else None.  Used as a context manager, the state
-    stops the feed's helper thread, if one started, on every exit.
+    never changes.  velocity, scratch and mask (the update mask's trained
+    tail or None) are vectors over that tail, so each step is a handful
+    of whole-vector in-place ufunc calls on the same tail of the step's
+    gradient vector.  noise is the run's NoiseFeed when grad_noise_sigma
+    > 0, else None.  Used as a context manager, the state stops the
+    feed's helper thread, if one started, on every exit.
     """
     params: np.ndarray
     start: int
     velocity: np.ndarray
-    grad: np.ndarray
-    grad_views: dict
     scratch: np.ndarray
     mask: np.ndarray | None
     shuffle_rng: np.random.Generator
@@ -342,12 +345,10 @@ class SgdState:
         ahead on a helper thread, so a caller that gives it must run the
         steps in a with block over the state.
         """
-        flat = _flat(vars(params))
+        flat = np.concatenate([getattr(params, b).ravel() for b in BLOCKS])
         for b, view in _views(flat, params).items():
             setattr(params, b, view)
-        trained = BLOCKS[4:] if cfg.freeze_encoder else BLOCKS
-        start = flat.size - sum(getattr(params, b).size for b in trained)
-        grad = np.empty(flat.size - start)
+        start = flat.size - params.Whead.size - params.bhead.size if cfg.freeze_encoder else 0
         noise = None
         if cfg.grad_noise_sigma > 0:
             # Drawn over the whole vector, so the head's noise does not
@@ -357,10 +358,8 @@ class SgdState:
         return SgdState(
             params=flat,
             start=start,
-            velocity=np.zeros_like(grad),
-            grad=grad,
-            grad_views=_views(grad, params, trained),
-            scratch=np.empty_like(grad),
+            velocity=np.zeros(flat.size - start),
+            scratch=np.empty(flat.size - start),
             mask=None if mask is None else mask[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
             noise=noise,
@@ -374,18 +373,18 @@ class SgdState:
             self.noise.close()
 
 
-def apply_sgd_step(grads: dict, state: SgdState, cfg: TrainConfig,
+def apply_sgd_step(grad: np.ndarray, state: SgdState, cfg: TrainConfig,
                    sign: float = 1.0) -> None:
     """One in-place SGD update of the params state was created from.
 
-    sign=-1 ascends; state.mask zeroes updates.  Per trained element this
-    is g = sign*grad + sigma*noise, v = momentum*v + g, and params -= lr *
-    (g + momentum*v if nesterov else v) * mask, with the noise drawn over
-    all blocks in BLOCKS order.
+    grad is the step's gradient vector, laid out like state.params; the
+    update works in its trained tail, so the caller must not read it
+    again.  sign=-1 ascends; state.mask zeroes updates.  Per trained
+    element this is g = sign*grad + sigma*noise, v = momentum*v + g, and
+    params -= lr * (g + momentum*v if nesterov else v) * mask, with the
+    noise drawn over all blocks in BLOCKS order.
     """
-    g, v, t = state.grad, state.velocity, state.scratch
-    for b, view in state.grad_views.items():
-        view[...] = grads[b]
+    g, v, t = grad[state.start:], state.velocity, state.scratch
     if sign != 1.0:
         np.multiply(g, sign, out=g)
     if state.noise is not None:
@@ -418,21 +417,17 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def epoch_steps(n: int, cfg: TrainConfig) -> int:
-    """Steps of cfg.epochs passes of epoch_batches over n rows."""
-    return cfg.epochs * -(-n // cfg.batch_size)
-
-
 def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None = None,
              n_steps: int | None = None) -> tuple:
     """The SGD driver every training and unlearning loop runs on.
 
     steps(work, state) is a generator over the live working copy that yields
-    (grads, loss, rows, sign) once per update; it computes each gradient
-    after the previous update, so every stream draws in a fixed order.
-    The working copy's blocks are views of one flat vector (SgdState), so
-    each update runs on whole vectors; mask is a 0/1 vector over that
-    flat layout (see SgdState.create).
+    (grad, loss, rows, sign) once per update, grad being a gradient vector
+    in BLOCKS order (see backward) that the update consumes; it computes
+    each gradient after the previous update, so every stream draws in a
+    fixed order.  The working copy's blocks are views of one flat vector
+    (SgdState), so each update runs on whole vectors; mask is a 0/1 vector
+    over that flat layout (see SgdState.create).
     n_steps, the number of updates steps yields, lets a long noisy run
     draw its noise ahead on a helper thread (see NoiseFeed), which is
     stopped and joined on every exit; the bits do not depend on it.
@@ -445,26 +440,43 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None
         return work, 0
     visits = 0
     with SgdState.create(work, cfg, mask, n_steps) as state:
-        for grads, loss, rows, sign in steps(work, state):
+        for grad, loss, rows, sign in steps(work, state):
             if not np.isfinite(loss):
                 raise DivergenceError(state.step)
-            apply_sgd_step(grads, state, cfg, sign=sign)
+            apply_sgd_step(grad, state, cfg, sign=sign)
             visits += rows
     check_finite(work, state.step)
     return work, visits
 
 
-def cross_entropy_steps(x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
-                        sign: float = 1.0):
-    """Minibatch cross-entropy steps over shuffled epochs of x for sgd_loop;
-    labels_for_epoch(epoch) supplies the targets."""
+def sgd_epochs(params: MlpParams, cfg: TrainConfig, n: int, step,
+               mask: np.ndarray | None = None) -> tuple:
+    """sgd_loop over cfg.epochs shuffled passes of epoch_batches over n rows.
+
+    step(work, epoch, idx) returns one update's (grad, loss, rows, sign)
+    for the batch of row indices idx.  The run's length, epochs *
+    ceil(n / batch_size) steps, is worked out here.  Raises
+    DegenerateInputError when n is 0.
+    """
+    if n == 0:
+        raise DegenerateInputError("training needs a nonempty dataset")
+
     def steps(work, state):
         for epoch in range(cfg.epochs):
-            y = labels_for_epoch(epoch)
-            for idx in epoch_batches(x.shape[0], cfg.batch_size, state.shuffle_rng):
-                grads, loss = grad_cross_entropy(work, x[idx], y[idx])
-                yield grads, loss, idx.size, sign
-    return steps
+            for idx in epoch_batches(n, cfg.batch_size, state.shuffle_rng):
+                yield step(work, epoch, idx)
+    return sgd_loop(params, cfg, steps, mask, n_steps=cfg.epochs * -(-n // cfg.batch_size))
+
+
+def sgd_cross_entropy(params: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
+                      sign: float = 1.0, mask: np.ndarray | None = None) -> tuple:
+    """Minibatch cross-entropy SGD over shuffled epochs of x (sgd_epochs);
+    labels_for_epoch(epoch) supplies the targets.  Returns (params,
+    sample_visits)."""
+    def step(work, epoch, idx):
+        grad, loss = cross_entropy_gradient(work, x[idx], labels_for_epoch(epoch)[idx])
+        return grad, loss, idx.size, sign
+    return sgd_epochs(params, cfg, x.shape[0], step, mask)
 
 
 def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParams:
@@ -474,10 +486,7 @@ def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParam
     on an empty dataset, and DivergenceError with the step index if the
     loss goes non-finite.
     """
-    if dataset.n == 0:
-        raise DegenerateInputError("training needs a nonempty dataset")
-    work, _ = sgd_loop(params, cfg, cross_entropy_steps(dataset.X, lambda _: dataset.y, cfg),
-                       n_steps=epoch_steps(dataset.n, cfg))
+    work, _ = sgd_cross_entropy(params, dataset.X, lambda _: dataset.y, cfg)
     return work
 
 

@@ -33,6 +33,8 @@ def read_matrix(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ShapeError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise ShapeError(f"{path}: {len(raw)} bytes, shorter than the 12-byte header")
     rows, cols = struct.unpack_from("<II", raw, 4)
     expected = 12 + rows * cols * 8
     if len(raw) != expected:
@@ -53,6 +55,8 @@ def write_labels(path, labels: np.ndarray) -> None:
 
 def read_labels(path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise ShapeError(f"{path}: {len(raw)} bytes, shorter than the 8-byte header")
     (count,) = struct.unpack_from("<Q", raw, 0)
     if len(raw) != 8 + 4 * count:
         raise ShapeError(f"{path}: expected {8 + 4 * count} bytes, found {len(raw)}")

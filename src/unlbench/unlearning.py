@@ -16,24 +16,21 @@ import numpy as np
 from .data import Dataset, ForgetSplit
 from .errors import ConfigError, DegenerateInputError
 from .model import (
-    BLOCKS,
     DEFAULT_FEAT,
     DEFAULT_HIDDEN,
     MlpParams,
     TrainConfig,
     backward,
     cross_entropy_grad_logits,
-    cross_entropy_steps,
-    epoch_batches,
-    epoch_steps,
+    cross_entropy_gradient,
     forward,
-    grad_cross_entropy,
     init_params,
     log_softmax,
+    sgd_cross_entropy,
+    sgd_epochs,
     sgd_loop,
     sgd_train,
     softmax,
-    _flat,
     _forward_cache,
 )
 from .rng import make_rng
@@ -172,11 +169,7 @@ def unlearn_ft(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnRe
 
 def unlearn_ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Gradient ascent on the forget set's cross-entropy."""
-    if df.n == 0:
-        raise DegenerateInputError("gradient ascent needs a nonempty forget set")
-    params, visits = sgd_loop(theta_o, cfg.base,
-                              cross_entropy_steps(df.X, lambda _: df.y, cfg.base, sign=-1.0),
-                              n_steps=epoch_steps(df.n, cfg.base))
+    params, visits = sgd_cross_entropy(theta_o, df.X, lambda _: df.y, cfg.base, sign=-1.0)
     return UnlearnResult(params, visits)
 
 
@@ -187,20 +180,16 @@ def _random_relabel(y: np.ndarray, num_classes: int, rng: np.random.Generator) -
 
 
 def _rl_loop(theta_o, df, cfg: UnlearnConfig, mask=None) -> tuple:
+    """RL's run; every epoch's relabels are drawn up front, from a stream
+    that no other draw shares."""
     rel_rng = make_rng(cfg.base.seed, STREAM_RELABEL)
-    num_classes = theta_o.num_classes
-
-    def labels(_epoch):
-        return _random_relabel(df.y, num_classes, rel_rng)
-
-    return sgd_loop(theta_o, cfg.base, cross_entropy_steps(df.X, labels, cfg.base), mask=mask,
-                    n_steps=epoch_steps(df.n, cfg.base))
+    relabels = [_random_relabel(df.y, theta_o.num_classes, rel_rng)
+                for _ in range(cfg.base.epochs)]
+    return sgd_cross_entropy(theta_o, df.X, relabels.__getitem__, cfg.base, mask=mask)
 
 
 def unlearn_rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Relabel each forget sample with a random different class each epoch."""
-    if df.n == 0:
-        raise DegenerateInputError("random labeling needs a nonempty forget set")
     params, visits = _rl_loop(theta_o, df, cfg)
     return UnlearnResult(params, visits)
 
@@ -221,12 +210,8 @@ def unlearn_pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnRe
 
     Pseudo-labels are computed once, before any parameter update.
     """
-    if df.n == 0:
-        raise DegenerateInputError("pseudo labeling needs a nonempty forget set")
     targets = pseudo_labels(theta_o, df.X, np.unique(df.y))
-    params, visits = sgd_loop(theta_o, cfg.base,
-                              cross_entropy_steps(df.X, lambda _: targets, cfg.base),
-                              n_steps=epoch_steps(df.n, cfg.base))
+    params, visits = sgd_cross_entropy(theta_o, df.X, lambda _: targets, cfg.base)
     return UnlearnResult(params, visits)
 
 
@@ -247,34 +232,28 @@ def saliency_mask(theta_o: MlpParams, df: Dataset, fraction: float) -> np.ndarra
     """0/1 mask of the top `fraction` of parameters by forget-loss gradient
     magnitude, ranked globally over all blocks laid end to end in BLOCKS
     order."""
-    grads, _ = grad_cross_entropy(theta_o, df.X, df.y)
-    return top_fraction_mask(np.abs(_flat(grads)), fraction)
+    grad, _ = cross_entropy_gradient(theta_o, df.X, df.y)
+    return top_fraction_mask(np.abs(grad), fraction)
 
 
 def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Random labeling restricted to the salient parameter subset."""
-    if df.n == 0:
-        raise DegenerateInputError("SalUn needs a nonempty forget set")
     mask = saliency_mask(theta_o, df, cfg.saliency_fraction)
     params, visits = _rl_loop(theta_o, df, cfg, mask=mask)
     return UnlearnResult(params, visits, {"masked_parameters": int(mask.sum())})
 
 
-def _two_set_steps(df: Dataset, dr: Dataset, cfg: TrainConfig, step_fn):
-    """sgd_loop steps over shuffled forget batches, each paired with retain
+def _two_set_loop(theta_o: MlpParams, df: Dataset, dr: Dataset, cfg: TrainConfig,
+                  step_fn) -> tuple:
+    """sgd_epochs over shuffled forget batches, each paired with retain
     rows: step_fn(work, f_idx, retain) draws its own retain batch from the
-    endless retain cycler and returns (grads, loss, retain_rows)."""
-    def steps(work, state):
-        retain = _BatchCycler(dr.n, cfg.batch_size, make_rng(cfg.seed, STREAM_RETAIN))
-        for _ in range(cfg.epochs):
-            for f_idx in epoch_batches(df.n, cfg.batch_size, state.shuffle_rng):
-                grads, loss, r_rows = step_fn(work, f_idx, retain)
-                yield grads, loss, f_idx.size + r_rows, 1.0
-    return steps
+    endless retain cycler and returns (grad, loss, retain_rows)."""
+    retain = _BatchCycler(dr.n, cfg.batch_size, make_rng(cfg.seed, STREAM_RETAIN))
 
-
-def _add_grads(a: dict, b: dict, weight: float = 1.0) -> dict:
-    return {k: a[k] + weight * b[k] for k in BLOCKS}
+    def step(work, _epoch, f_idx):
+        grad, loss, r_rows = step_fn(work, f_idx, retain)
+        return grad, loss, f_idx.size + r_rows, 1.0
+    return sgd_epochs(theta_o, cfg, df.n, step)
 
 
 def nearest_centroids(feats: np.ndarray, centroids: Centroids) -> tuple:
@@ -304,10 +283,9 @@ def _realignment_step(work, x_f, dr, r_idx, centroids, cfg):
         p_diff = diff @ centroids.precision
         loss_f = float(np.einsum("nd,nd->n", diff, p_diff).mean())
         d_feats = 2.0 * p_diff / feats.shape[0]
-    grads = backward(work, cache_f, d_feats=d_feats)
-    grads_r, loss_r = grad_cross_entropy(work, dr.X[r_idx], dr.y[r_idx])
+    grad_r, loss_r = cross_entropy_gradient(work, dr.X[r_idx], dr.y[r_idx])
     w = cfg.retain_loss_weight
-    return _add_grads(grads, grads_r, w), loss_f + w * loss_r
+    return backward(work, cache_f, d_feats=d_feats) + w * grad_r, loss_f + w * loss_r
 
 
 def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) -> UnlearnResult:
@@ -319,11 +297,10 @@ def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) ->
 
     def step(work, f_idx, retain):
         r_idx = retain.next()
-        grads, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg)
-        return grads, loss, r_idx.size
+        grad, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg)
+        return grad, loss, r_idx.size
 
-    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
-                              n_steps=epoch_steps(df.n, cfg.base))
+    params, visits = _two_set_loop(theta_o, df, dr, cfg.base, step)
     return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
 
 
@@ -416,12 +393,11 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
         )
         skipped += int((~kept).sum())
         loss_r, d_logits_r = cross_entropy_grad_logits(cache_r["logits"], dr.y[r_idx])
-        grads = _add_grads(backward(work, cache_a, d_feats=d_a),
-                           backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r))
-        return grads, loss_c + w * loss_r, r_idx.size
+        grad = (backward(work, cache_a, d_feats=d_a)
+                + backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r))
+        return grad, loss_c + w * loss_r, r_idx.size
 
-    params, visits = sgd_loop(theta_o, cfg.base, _two_set_steps(df, dr, cfg.base, step),
-                              n_steps=epoch_steps(df.n, cfg.base))
+    params, visits = _two_set_loop(theta_o, df, dr, cfg.base, step)
     if skipped:
         log.info("CU skipped %d anchors lacking positives", skipped)
     return UnlearnResult(params, visits, {"skipped_anchors": skipped})
@@ -460,16 +436,14 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 _, t_logits = forward(theta_o, df.X[idx])
                 cache = _forward_cache(work, df.X[idx])
                 kl, d_logits = kl_teacher_student(t_logits, cache["logits"], temp)
-                grads = backward(work, cache, d_logits=d_logits)
-                yield grads, kl, idx.size, -1.0
+                yield backward(work, cache, d_logits=d_logits), kl, idx.size, -1.0
             for _ in range(cfg.scrub_min_steps_per_epoch):
                 idx = retain.next()
                 _, t_logits = forward(theta_o, dr.X[idx])
                 cache = _forward_cache(work, dr.X[idx])
                 kl, d_kl = kl_teacher_student(t_logits, cache["logits"], temp)
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
-                grads = backward(work, cache, d_logits=d_kl + d_ce)
-                yield grads, kl + ce, idx.size, 1.0
+                yield backward(work, cache, d_logits=d_kl + d_ce), kl + ce, idx.size, 1.0
 
     n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
     params, visits = sgd_loop(theta_o, cfg.base, steps, n_steps=n_steps)

@@ -200,6 +200,9 @@ class TestExitCodes:
         ("train", "epoch", 3),           # a typo of epochs
         ("train", "epochs", "3"),        # a string for an int
         ("scenario", "n_forget", 6),     # every train class forgotten
+        ("data", "per_class_train", 0),  # an empty train set
+        ("data", "per_class_test", 0),   # an empty test set
+        ("data", "per_class_train", -1),
     ])
     def test_bad_run_config_is_config_error(self, workspace, tmp_path, capsys,
                                             block, key, value):
@@ -303,6 +306,25 @@ class TestExitCodes:
                      "--ranking", str(ranking), "--n", n,
                      "--out", str(tmp_path / "split")]) == 1
         assert "must be below the train set's 6 classes" in capsys.readouterr().err
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("ranking, message", [
+        ([0, 1], "fewer than --n 3"),
+        ([99, 98, 97], "class 99, outside [0, 6)"),
+        ([0, 1, -1, 2], "class -1, outside [0, 6)"),
+        ([0, 2, 1, "3"], "class '3', outside [0, 6)"),
+        ([{"cls": 0}, 1, 2], "class None, outside [0, 6)"),
+        ([0, 0, 1, 2], "repeats a class in its first 3 entries"),
+    ])
+    def test_split_bad_ranking_is_config_error(self, workspace, tmp_path, capsys,
+                                               ranking, message):
+        path = tmp_path / "ranking.json"
+        path.write_text(json.dumps(ranking))
+        assert main(["split", "--train", str(workspace / "data" / "train"),
+                     "--test", str(workspace / "data" / "test"), "--kind", "top",
+                     "--ranking", str(path), "--n", "3",
+                     "--out", str(tmp_path / "split")]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "split").exists()
 
     def test_select_top_n_above_class_count_is_config_error(self, workspace, capsys):

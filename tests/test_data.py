@@ -85,6 +85,13 @@ class TestGenerateUniverse:
             SyntheticSpec(class_noise_sigma=0.0)
         with pytest.raises(ConfigError):
             DownstreamSpec("d", 2, (0, 1, 2), 0.5, 4)
+        for rows in ({"per_class_train": 0}, {"per_class_test": 0},
+                     {"per_class_train": -1}, {"per_class_test": -1}):
+            with pytest.raises(ConfigError, match="per_class"):
+                SyntheticSpec(**rows)
+        for sigma in (0.0, -0.2):
+            with pytest.raises(ConfigError, match="noise_sigma"):
+                DownstreamSpec("d", 2, noise_sigma=sigma)
 
 
 class TestSplits:

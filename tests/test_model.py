@@ -21,6 +21,7 @@ from unlbench.model import (
     accuracy,
     backward,
     cross_entropy_grad_logits,
+    cross_entropy_gradient,
     forward,
     grad_cross_entropy,
     init_params,
@@ -260,16 +261,16 @@ class TestFlatSgdStep:
                            for b in BLOCKS}
         self.mask = np.concatenate([self.block_mask[b].ravel() for b in BLOCKS])
 
-    def _grads(self, params, i):
+    def _batch(self, i):
         idx = self.batches[i]
-        return grad_cross_entropy(params, self.x[idx], self.y[idx])
+        return self.x[idx], self.y[idx]
 
     def _oracle(self, cfg, sign, mask, n_steps):
         params = self.theta.copy()
         velocity = {b: np.zeros_like(getattr(params, b)) for b in BLOCKS}
         noise = make_rng(cfg.seed, STREAM_NOISE) if cfg.grad_noise_sigma > 0 else None
         for i in range(n_steps):
-            grads, _ = self._grads(params, i)
+            grads, _ = grad_cross_entropy(params, *self._batch(i))
             oracle_sgd_step(params, grads, velocity, noise, cfg, sign, mask)
         return params, noise
 
@@ -283,8 +284,8 @@ class TestFlatSgdStep:
         def steps(work, state):
             seen["state"] = state
             for i in range(n_steps):
-                grads, loss = self._grads(work, i)
-                yield grads, loss, 8, sign
+                grad, loss = cross_entropy_gradient(work, *self._batch(i))
+                yield grad, loss, 8, sign
             seen["noise"] = None if state.noise is None else state.noise.next().copy()
         params, visits = sgd_loop(self.theta, cfg, steps, mask=mask,
                                   n_steps=n_steps if length == "exact" else length)
@@ -397,13 +398,13 @@ class TestNoiseFeedThreads:
             for i in range(n_steps):
                 if seen is not None:
                     seen.append(len(noise_threads()))
-                grads, loss = grad_cross_entropy(work, self.x, self.y)
+                grad, loss = cross_entropy_gradient(work, self.x, self.y)
                 if i == fail_at:
                     if exc is None:
                         loss = float("nan")
                     else:
                         raise exc
-                yield grads, loss, 16, 1.0
+                yield grad, loss, 16, 1.0
         return steps
 
     # Only a noisy run known to last more than one chunk starts a helper,

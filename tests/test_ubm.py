@@ -50,6 +50,17 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "trunc.ubm1"
     ubm.write_matrix(path, np.ones((2, 2)))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ShapeError):
-        ubm.read_matrix(path)
+    whole = path.read_bytes()
+    # Cut in the data, and inside the 12-byte header after the magic.
+    for size in (len(whole) - 8, 11, 6, 4):
+        path.write_bytes(whole[:size])
+        with pytest.raises(ShapeError):
+            ubm.read_matrix(path)
+    labels = tmp_path / "trunc.u32"
+    ubm.write_labels(labels, np.arange(3))
+    whole = labels.read_bytes()
+    # Cut in the data, and inside the 8-byte count header.
+    for size in (len(whole) - 4, 7, 0):
+        labels.write_bytes(whole[:size])
+        with pytest.raises(ShapeError):
+            ubm.read_labels(labels)

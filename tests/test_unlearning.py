@@ -16,6 +16,7 @@ from unlbench.model import (
     TrainConfig,
     accuracy,
     apply_sgd_step,
+    cross_entropy_gradient,
     forward,
     grad_cross_entropy,
     init_params,
@@ -371,8 +372,8 @@ class TestScrub:
         state = SgdState.create(manual, cfg.base)
         idx = _BatchCycler(split.Dr.n, cfg.base.batch_size,
                            make_rng(8, STREAM_RETAIN)).next()
-        grads, _ = grad_cross_entropy(manual, split.Dr.X[idx], split.Dr.y[idx])
-        apply_sgd_step(grads, state, cfg.base)
+        grad, _ = cross_entropy_gradient(manual, split.Dr.X[idx], split.Dr.y[idx])
+        apply_sgd_step(grad, state, cfg.base)
         assert params_equal(res.params, manual)
 
 
@@ -452,6 +453,28 @@ class TestMethodInvariants:
         for b in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(res.params, b), getattr(theta_o, b)), b
         assert not np.array_equal(res.params.Whead, theta_o.Whead)
+
+    # A noisy run's helper thread draws noise for exactly the steps the run
+    # is told it lasts, so each run must be told its true length.
+    @pytest.mark.parametrize("method", [*METHODS, "sgd_train"])
+    def test_each_run_is_told_its_true_length(self, scenario, monkeypatch, method):
+        theta_o, split = scenario
+        created = []
+        create = SgdState.create
+
+        def spy(params, cfg, mask=None, steps=None):
+            state = create(params, cfg, mask, steps)
+            created.append((steps, state))
+            return state
+        monkeypatch.setattr(SgdState, "create", staticmethod(spy))
+        cfg = cfg_for("FT" if method == "sgd_train" else method, epochs=3,
+                      grad_noise_sigma=0.01)
+        if method == "sgd_train":
+            sgd_train(theta_o, split.Dr, cfg.base)
+        else:
+            run_unlearning(theta_o, split, cfg)
+        [(steps, state)] = created
+        assert steps == state.step > 0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_deterministic_given_seed(self, scenario, method):
