@@ -66,13 +66,21 @@ def _count(text: str) -> int:
     return n
 
 
-def _load_json(path) -> dict:
+def _read_json(path, what: str = "config"):
+    """A JSON document; a missing or unreadable file and invalid JSON are
+    configuration errors."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read {what} file: {exc}") from exc
+
+
+def _load_json(path) -> dict:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ConfigError(f"{path}: config must be a JSON object with version 1")
     return doc
@@ -133,12 +141,16 @@ def _cmd_split(args) -> int:
     else:
         if not args.ranking:
             raise ConfigError("top split requires --ranking (JSON list of class ids)")
-        ranking = json.loads(Path(args.ranking).read_text())
+        ranking = _read_json(args.ranking, "--ranking")
+        if not isinstance(ranking, list):
+            raise ConfigError(f"--ranking must be a JSON list of class ids, "
+                              f"got {type(ranking).__name__}")
         ids = [e.get("class") if isinstance(e, dict) else e for e in ranking]
         if len(ids) < args.n:
             raise ConfigError(f"--ranking has {len(ids)} entries, fewer than --n {args.n}")
         for c in ids:
-            if not isinstance(c, int) or not 0 <= c < train.num_classes:
+            if isinstance(c, bool) or not isinstance(c, int) \
+                    or not 0 <= c < train.num_classes:
                 raise ConfigError(f"--ranking names class {c!r}, outside "
                                   f"[0, {train.num_classes})")
         if len(set(ids[:args.n])) < args.n:

@@ -45,6 +45,7 @@ from .metrics import (
     mia_efficacy,
     normalize_rows,
     split_accuracies,
+    split_logits,
 )
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
@@ -231,8 +232,7 @@ class ScenarioContext:
     split: ForgetSplit
     theta_o: MlpParams
     theta_r: MlpParams
-    mia_member: Dataset
-    mia_nonmember: Dataset
+    mia_idx: tuple          # (member rows of Dr, non-member rows of Dr_te)
     visits_o: int = 0
     visits_r: int = 0
     rte_o: float = 0.0
@@ -242,6 +242,16 @@ class ScenarioContext:
     def probes(self) -> dict:
         """name -> the probe inputs of each downstream dataset."""
         return {n: self.downstreams[n].X[r.probe_idx] for n, r in self.references.items()}
+
+    @property
+    def mia_member(self) -> Dataset:
+        """The MIA's member sample: rows mia_idx[0] of Dr."""
+        return _rows(self.split.Dr, self.mia_idx[0])
+
+    @property
+    def mia_nonmember(self) -> Dataset:
+        """The MIA's non-member sample: rows mia_idx[1] of Dr_te."""
+        return _rows(self.split.Dr_te, self.mia_idx[1])
 
     @cached_property
     def acc_r(self) -> tuple:
@@ -312,11 +322,12 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
 
     return ScenarioContext(
         scenario=scenario, downstreams=downstreams, references=references, split=split,
-        theta_o=theta_o, theta_r=theta_r,
-        mia_member=Dataset(split.Dr.X[mi], split.Dr.y[mi], split.Dr.num_classes),
-        mia_nonmember=Dataset(split.Dr_te.X[ni], split.Dr_te.y[ni], split.Dr_te.num_classes),
-        **costs,
+        theta_o=theta_o, theta_r=theta_r, mia_idx=(mi, ni), **costs,
     )
+
+
+def _rows(ds: Dataset, idx: np.ndarray) -> Dataset:
+    return Dataset(ds.X[idx], ds.y[idx], ds.num_classes)
 
 
 def _representation(theta: MlpParams, ds: Dataset, probe_idx: np.ndarray,
@@ -345,7 +356,8 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
             cka_uo=compute_cka(side_u, ref.cka_o),
         )
     scores = ReprScores(per_dataset)
-    gaps = logit_gaps(theta_u, ctx.acc_r, ctx.split)
+    outs = split_logits(theta_u, ctx.split)
+    gaps = logit_gaps(outs, ctx.acc_r, ctx.split)
     agl = compute_agl(gaps)
     agr = compute_agr(scores, ctx.scenario.kind, ctx.scenario.related_dataset)
     return {
@@ -354,7 +366,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
         "agl": agl,
         "agr": agr,
         "hlr": compute_hlr(agl, agr),
-        "mia": mia_efficacy(theta_u, ctx.mia_member, ctx.mia_nonmember, ctx.split.Df),
+        "mia": mia_efficacy(outs.attack_features(*ctx.mia_idx)),
         "probe_features": probes,
     }
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, ForgetSplit
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, LabelError, ShapeError
 # gram_linear and hsic are imported only because perfbench/tracer.py hooks
 # them under these names; CKA does not call them.
 from .kernels import as_matrix, gram_linear, hsic  # noqa: F401
@@ -218,23 +218,45 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
                 k: int, num_classes: int) -> np.ndarray:
     """k-NN under cosine distance with fully deterministic tie handling.
 
-    Neighbors are ordered by (distance, label, train index); vote ties go to
-    the lowest class index.  Zero-norm rows keep similarity 0 to everything.
-    All queries are scored at once: the stacked matrix-vector products give
-    each query the same similarity bits as un_train @ query would, which a
-    single un_test @ un_train.T does not, and near-tied neighbors depend on
-    those bits.
+    A query's neighbors are the k train rows first in (distance, label,
+    train index) order: every row closer than its k-th smallest distance,
+    then, among the rows at exactly that distance, the ones with the lowest
+    labels.  With k at or above the train row count every row votes.  Vote
+    ties go to the lowest class index.  Zero-norm rows keep similarity 0 to
+    everything.  Non-finite features raise NonFiniteError, k below 1
+    ConfigError, a label count other than the train row count ShapeError,
+    an empty train set DegenerateInputError and a label outside
+    [0, num_classes) LabelError.  All queries are scored at once: the
+    stacked matrix-vector products give each query the same similarity
+    bits as un_train @ query would, which a single un_test @ un_train.T
+    does not, and near-tied neighbors depend on those bits.
     """
-    un_train = normalize_rows(np.asarray(train_x, dtype=np.float64))
-    un_test = normalize_rows(np.asarray(test_x, dtype=np.float64))
+    if k < 1:
+        raise ConfigError(f"k-NN needs k >= 1, got {k}")
+    un_train = normalize_rows(as_matrix(train_x, "train_x"))
+    un_test = normalize_rows(as_matrix(test_x, "test_x"))
     labels = np.asarray(train_y, dtype=np.int64)
+    if labels.shape != un_train.shape[:1]:
+        raise ShapeError(f"{labels.shape} train labels for {un_train.shape[0]} train rows")
+    if labels.size == 0:
+        raise DegenerateInputError("k-NN needs at least one train row")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise LabelError(f"k-NN train labels must lie in [0, {num_classes})")
     dist = 1.0 - np.matmul(un_train[None], un_test[:, :, None])[..., 0]
-    keys = (np.broadcast_to(np.arange(labels.size), dist.shape),
-            np.broadcast_to(labels, dist.shape), dist)
-    nearest = labels[np.lexsort(keys, axis=-1)[:, :k]]
-    offsets = num_classes * np.arange(nearest.shape[0])[:, None]
-    votes = np.bincount((nearest + offsets).ravel(), minlength=offsets.size * num_classes)
-    return np.argmax(votes.reshape(-1, num_classes), axis=1)
+    k = min(k, labels.size)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    closer = dist < kth
+    tied = dist == kth
+    rows, cols = np.nonzero(closer | tied)
+    votes = np.bincount(rows * num_classes + labels[cols],
+                        minlength=dist.shape[0] * num_classes).reshape(-1, num_classes)
+    # Where more rows tie at the k-th distance than places are left, only
+    # the lowest labels among them vote.
+    places = k - closer.sum(axis=1)
+    for i in np.flatnonzero(tied.sum(axis=1) > places):
+        dropped = np.sort(labels[tied[i]])[places[i]:]
+        votes[i] -= np.bincount(dropped, minlength=num_classes)
+    return np.argmax(votes, axis=1)
 
 
 def stratified_split(labels: np.ndarray, train_frac: float, rng) -> tuple:
@@ -317,15 +339,48 @@ def compute_agr(scores: ReprScores, scenario_kind: str,
     return (1.0 - mean_gap) * mean_cka
 
 
-def split_accuracies(params: MlpParams, split: ForgetSplit) -> tuple:
-    """Accuracy on Df, Dr, Df_te and Dr_te, in that order."""
-    return tuple(accuracy(params, d) for d in (split.Df, split.Dr, split.Df_te, split.Dr_te))
+@dataclass(frozen=True)
+class SplitLogits:
+    """One model's logits on a split's Df, Dr, Df_te and Dr_te, from one
+    forward pass over each set.  logit_gaps takes it in place of the model,
+    and attack_features slices mia_efficacy's prepared input from it."""
+    df: np.ndarray
+    dr: np.ndarray
+    df_te: np.ndarray
+    dr_te: np.ndarray
+
+    def attack_features(self, member_idx: np.ndarray, nonmember_idx: np.ndarray) -> tuple:
+        """The MIA's max-confidence vectors on the members Dr[member_idx],
+        the non-members Dr_te[nonmember_idx] and the whole of Df."""
+        return tuple(_max_softmax(logits) for logits in
+                     (self.dr[member_idx], self.dr_te[nonmember_idx], self.df))
 
 
-def logit_gaps(theta_u: MlpParams, theta_r: MlpParams | tuple,
+def _split_sets(split: ForgetSplit) -> tuple:
+    return (split.Df, split.Dr, split.Df_te, split.Dr_te)
+
+
+def split_logits(params: MlpParams, split: ForgetSplit) -> SplitLogits:
+    """params' logits on each set of the split."""
+    return SplitLogits(*(forward(params, d.X)[1] for d in _split_sets(split)))
+
+
+def split_accuracies(model: MlpParams | SplitLogits, split: ForgetSplit) -> tuple:
+    """Accuracy on Df, Dr, Df_te and Dr_te, in that order.
+
+    model is the model or its split_logits.
+    """
+    outs = model if isinstance(model, SplitLogits) else split_logits(model, split)
+    return tuple(accuracy(logits, d) for logits, d in
+                 zip((outs.df, outs.dr, outs.df_te, outs.dr_te), _split_sets(split)))
+
+
+def logit_gaps(theta_u: MlpParams | SplitLogits, theta_r: MlpParams | tuple,
                split: ForgetSplit) -> LogitGaps:
     """FA/RA/TFA/TRA of theta_u and absolute accuracy gaps to theta_r.
 
+    theta_u is the unlearned model or its split_logits, which a caller that
+    needs the model's split outputs for other metrics too computes once.
     theta_r is the retrained model or its split_accuracies, which a caller
     scoring many models against one theta_r computes once.
     """
@@ -335,10 +390,14 @@ def logit_gaps(theta_u: MlpParams, theta_r: MlpParams | tuple,
     return LogitGaps(*acc_u, *gaps)
 
 
+def _max_softmax(logits: np.ndarray) -> np.ndarray:
+    return softmax(logits).max(axis=1)
+
+
 def max_confidence(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """The attack feature: maximum softmax probability per sample."""
     _, logits = forward(params, x)
-    return softmax(logits).max(axis=1)
+    return _max_softmax(logits)
 
 
 def fit_linear_svm(features: np.ndarray, labels01: np.ndarray, seed: int,
@@ -434,8 +493,8 @@ def solve_linear_svm(features: np.ndarray, labels01: np.ndarray) -> tuple:
     return np.array([w]), best_b(w)
 
 
-def mia_efficacy(theta_u: MlpParams, dr_sample: Dataset, dtest_sample: Dataset,
-                 df: Dataset) -> float:
+def mia_efficacy(theta_u: MlpParams | tuple, dr_sample: Dataset | None = None,
+                 dtest_sample: Dataset | None = None, df: Dataset | None = None) -> float:
     """Fraction of forget samples an SVM attacker calls non-members.
 
     The attacker fits a linear SVM (solve_linear_svm, solved exactly) on
@@ -444,24 +503,31 @@ def mia_efficacy(theta_u: MlpParams, dr_sample: Dataset, dtest_sample: Dataset,
     higher efficacy means more convincing forgetting.  When every attack
     row has the same confidence the attack has no signal, and the efficacy
     is 1.0: every forget row counts as a non-member.
+
+    theta_u is the unlearned model, or its max-confidence vectors on the
+    member sample, the non-member sample and the forget set, in that order
+    (SplitLogits.attack_features); the three datasets are then not read.
     """
-    if dr_sample.n == 0 or dtest_sample.n == 0 or df.n == 0:
+    if isinstance(theta_u, tuple):
+        conf_member, conf_nonmember, conf_f = theta_u
+    else:
+        conf_member, conf_nonmember, conf_f = (
+            max_confidence(theta_u, d.X) for d in (dr_sample, dtest_sample, df))
+    n_member, n_nonmember = conf_member.size, conf_nonmember.size
+    if n_member == 0 or n_nonmember == 0 or conf_f.size == 0:
         raise DegenerateInputError("MIA needs nonempty member, non-member, and forget sets")
-    if dr_sample.n != dtest_sample.n:
+    if n_member != n_nonmember:
         raise ConfigError(
-            f"MIA training must be balanced: {dr_sample.n} members vs "
-            f"{dtest_sample.n} non-members"
+            f"MIA training must be balanced: {n_member} members vs "
+            f"{n_nonmember} non-members"
         )
-    conf_member = max_confidence(theta_u, dr_sample.X)
-    conf_nonmember = max_confidence(theta_u, dtest_sample.X)
     feats = np.concatenate([conf_member, conf_nonmember])
-    labels = np.concatenate([np.ones(dr_sample.n), np.zeros(dtest_sample.n)])
+    labels = np.concatenate([np.ones(n_member), np.zeros(n_nonmember)])
     # Standardize with attack-training statistics; confidences cluster near
     # 1.0 and the hinge geometry needs unit-scale features to be usable.
     mu, sd = feats.mean(), max(float(feats.std()), 1e-12)
     w, b = solve_linear_svm((feats - mu) / sd, labels)
-    conf_f = (max_confidence(theta_u, df.X) - mu) / sd
-    return float((conf_f * w[0] + b <= 0.0).mean())
+    return float(((conf_f - mu) / sd * w[0] + b <= 0.0).mean())
 
 
 def __getattr__(name):

@@ -30,7 +30,6 @@ from .model import (
     sgd_epochs,
     sgd_loop,
     sgd_train,
-    softmax,
     _forward_cache,
 )
 from .rng import make_rng
@@ -403,16 +402,27 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
     return UnlearnResult(params, visits, {"skipped_anchors": skipped})
 
 
-def kl_teacher_student(teacher_logits: np.ndarray, student_logits: np.ndarray,
+def tempered_teacher(teacher_logits: np.ndarray, temperature: float) -> tuple:
+    """The teacher's (probabilities, log-probabilities) at temperature."""
+    log_t = log_softmax(teacher_logits / temperature)
+    return np.exp(log_t), log_t
+
+
+def kl_teacher_student(teacher_logits: np.ndarray | tuple, student_logits: np.ndarray,
                        temperature: float) -> tuple:
     """Mean KL(teacher || student) on temperature-scaled logits.
 
-    Returns (kl, d_student_logits) for the batch mean.
+    teacher_logits may be the teacher's tempered_teacher pair, which a
+    caller distilling from one frozen teacher computes once for all its
+    rows and slices per batch.  Returns (kl, d_student_logits) for the
+    batch mean.
     """
-    t = softmax(teacher_logits / temperature)
-    log_t = log_softmax(teacher_logits / temperature)
+    if isinstance(teacher_logits, tuple):
+        t, log_t = teacher_logits
+    else:
+        t, log_t = tempered_teacher(teacher_logits, temperature)
     log_s = log_softmax(student_logits / temperature)
-    n = teacher_logits.shape[0]
+    n = student_logits.shape[0]
     kl = float((t * (log_t - log_s)).sum(axis=1).mean())
     d_student = (np.exp(log_s) - t) / (temperature * n)
     return kl, d_student
@@ -421,11 +431,16 @@ def kl_teacher_student(teacher_logits: np.ndarray, student_logits: np.ndarray,
 def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                   cfg: UnlearnConfig) -> UnlearnResult:
     """Teacher-student distillation: ascend the forget-set KL to the frozen
-    teacher, then descend retain KL plus retain cross-entropy, each epoch."""
+    teacher, then descend retain KL plus retain cross-entropy, each epoch.
+
+    The teacher is theta_o, forwarded once over each of Df and Dr; each
+    step slices its batch's rows from those outputs.
+    """
     if df.n == 0 or dr.n == 0:
         raise DegenerateInputError("SCRUB needs nonempty forget and retain sets")
     temp = cfg.distill_temperature
     batch_size = cfg.base.batch_size
+    teacher_f, teacher_r = (tempered_teacher(forward(theta_o, d.X)[1], temp) for d in (df, dr))
 
     def steps(work, state):
         forget = _BatchCycler(df.n, batch_size, state.shuffle_rng)
@@ -433,15 +448,15 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
         for _ in range(cfg.base.epochs):
             for _ in range(cfg.scrub_max_steps_per_epoch):
                 idx = forget.next()
-                _, t_logits = forward(theta_o, df.X[idx])
                 cache = _forward_cache(work, df.X[idx])
-                kl, d_logits = kl_teacher_student(t_logits, cache["logits"], temp)
+                kl, d_logits = kl_teacher_student(
+                    tuple(a[idx] for a in teacher_f), cache["logits"], temp)
                 yield backward(work, cache, d_logits=d_logits), kl, idx.size, -1.0
             for _ in range(cfg.scrub_min_steps_per_epoch):
                 idx = retain.next()
-                _, t_logits = forward(theta_o, dr.X[idx])
                 cache = _forward_cache(work, dr.X[idx])
-                kl, d_kl = kl_teacher_student(t_logits, cache["logits"], temp)
+                kl, d_kl = kl_teacher_student(
+                    tuple(a[idx] for a in teacher_r), cache["logits"], temp)
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
                 yield backward(work, cache, d_logits=d_kl + d_ce), kl + ce, idx.size, 1.0
 

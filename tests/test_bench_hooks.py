@@ -1,6 +1,7 @@
 """The benchmark's layer wrappers (perfbench/tracer.py) find every function
 they wrap, and the counters find the argument names they read."""
 
+import importlib
 import inspect
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from unlbench import metrics, model, ubm
+from test_harness import mini_config
+from unlbench import harness, metrics, model, ubm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +41,24 @@ def test_counted_arguments_keep_their_names(fn, names):
     params = inspect.signature(fn).parameters
     for name in names:
         assert name in params, f"{fn.__name__} lost its {name!r} argument"
+
+
+def test_evaluate_model_enters_every_traced_metric_layer(monkeypatch):
+    """A hook wraps a name its caller looks up; a change that stops calling
+    through that name leaves the layer silently at 0.  Scoring one model
+    must enter each metric layer evaluate_model reaches."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer_mod = importlib.import_module("tracer")
+    importlib.import_module("unlbench.cli")
+    for module, attr, _, _ in tracer_mod.HOOKS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # restored after the test
+    ctx = harness.build_scenario(mini_config())
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    harness.evaluate_model(ctx, ctx.theta_o)
+    layers = {span[0] for span in tracer.spans}
+    for layer in ("metrics.mia", "metrics.logit_gaps", "metrics.knn", "model.forward"):
+        assert layer in layers, layer
+    assert tracer.counts["metrics.knn_queries"] > 0
+    assert tracer.counts["model.forward_rows"] > 0

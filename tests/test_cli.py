@@ -175,6 +175,14 @@ def test_sweep_both_kinds(workspace):
     assert dp_csv[0] == "sigma,knn_acc,cka_ur,cka_uo,status" and len(dp_csv) == 3
 
 
+class RawText(bytes):
+    """A --ranking file's content, written as is rather than as JSON."""
+
+
+# A --ranking path that is a directory.
+DIRECTORY = object()
+
+
 class TestExitCodes:
     def test_missing_config_file_is_config_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
@@ -315,11 +323,26 @@ class TestExitCodes:
         ([0, 2, 1, "3"], "class '3', outside [0, 6)"),
         ([{"cls": 0}, 1, 2], "class None, outside [0, 6)"),
         ([0, 0, 1, 2], "repeats a class in its first 3 entries"),
+        ([True, False, 3], "class True, outside [0, 6)"),
+        ([{"class": 0}, {"class": False}, 2], "class False, outside [0, 6)"),
+        ({"a": 1}, "must be a JSON list of class ids, got dict"),
+        (5, "must be a JSON list of class ids, got int"),
+        ("0, 1, 2", "must be a JSON list of class ids, got str"),
+        # Raw file text, a file that is not there, and one that cannot be read.
+        (RawText(b"[0, 1"), "invalid JSON"),
+        (None, "--ranking file not found"),
+        (RawText(b"\xff\xfe[0]"), "cannot read --ranking file"),
+        (DIRECTORY, "cannot read --ranking file"),
     ])
     def test_split_bad_ranking_is_config_error(self, workspace, tmp_path, capsys,
                                                ranking, message):
         path = tmp_path / "ranking.json"
-        path.write_text(json.dumps(ranking))
+        if ranking is DIRECTORY:
+            path.mkdir()
+        elif isinstance(ranking, RawText):
+            path.write_bytes(ranking)
+        elif ranking is not None:
+            path.write_text(json.dumps(ranking))
         assert main(["split", "--train", str(workspace / "data" / "train"),
                      "--test", str(workspace / "data" / "test"), "--kind", "top",
                      "--ranking", str(path), "--n", "3",

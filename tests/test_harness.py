@@ -4,11 +4,12 @@ import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unlbench import harness
+from unlbench import harness, metrics, unlearning
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe
 from unlbench.errors import BoundsError, DivergenceError
 from unlbench.harness import (
@@ -140,6 +141,25 @@ class TestRunScenario:
             assert [n for p, n in calls if p is theta] == sizes
         assert len(calls) == 2 * len(sizes)
 
+    def test_each_split_set_forwarded_once_per_scored_model(self, monkeypatch):
+        """The four accuracies and the MIA's confidences come from one
+        forward of the model over each of Df, Dr, Df_te and Dr_te."""
+        calls = []
+
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        ctx = build_scenario(mini_config())
+        theta = run_unlearning(ctx.theta_o, ctx.split, mini_config().methods[0]).params
+        monkeypatch.setattr(metrics, "forward", recording)
+        assert len(ctx.acc_r) == 4  # theta_r's, computed on first use
+        calls.clear()
+        evaluate_model(ctx, theta)
+        split = ctx.split
+        assert all(p is theta for p, _ in calls)
+        assert [n for _, n in calls] == [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
+
     def test_no_methods_gives_reference_rows_only(self, tmp_path):
         cfg = mini_config(methods=(), output_dir=str(tmp_path / "o"))
         reports, _ = run_scenario(cfg)
@@ -203,6 +223,47 @@ class TestRunScenario:
             rel = r.repr_scores.per_dataset["rel"]
             assert r.agr == pytest.approx((1.0 - rel.g_knn) * rel.cka_ur)
             assert r.scenario == "top-2-rel"
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """The shipped default config's scenario and its run_scenario output."""
+    cfg = ExperimentConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
+    ctx = build_scenario(cfg)
+    reports, models = run_scenario(cfg, emit=False, ctx=ctx)
+    return ctx, reports, models
+
+
+class TestDefaultRun:
+    def test_mia_matches_the_model_form_bit_for_bit(self, default_run):
+        """The harness slices the MIA's inputs from each model's split
+        logits; the score equals mia_efficacy run on the model itself."""
+        ctx, reports, models = default_run
+        assert len(reports) == 11 and all(r.status == "ok" for r in reports)
+        for r in reports:
+            label = r.method if r.provenance["role"] != "unlearned" \
+                else f"{r.method}-r{r.provenance['repeat']}"
+            want = metrics.mia_efficacy(models[label], ctx.mia_member, ctx.mia_nonmember,
+                                        ctx.split.Df)
+            assert r.mia == want, label
+
+    def test_scrub_preset_forwards_its_teacher_once_per_split_set(self, default_run,
+                                                                  monkeypatch):
+        ctx, _, _ = default_run
+        calls = []
+
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        monkeypatch.setattr(unlearning, "forward", recording)
+        run_unlearning(ctx.theta_o, ctx.split, default_method_config("SCRUB"))
+        assert all(p is ctx.theta_o for p, _ in calls)
+        assert [n for _, n in calls] == [ctx.split.Df.n, ctx.split.Dr.n]
+        assert sum(n for _, n in calls) == 500
 
 
 class TestEmitAndLoad:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from unlbench.data import Dataset
-from unlbench.errors import ConfigError, DegenerateInputError, ShapeError
+from unlbench.errors import (ConfigError, DegenerateInputError, LabelError, NonFiniteError,
+                             ShapeError)
 from unlbench.metrics import (
     DownstreamRepr,
     LogitGaps,
@@ -408,6 +409,75 @@ class TestKnnBatchedMatchesPerQuery:
         x[::7] = 0.0
         self._check(x[::2], y[::2], x[1::2], 5, 4)
         self._check(np.zeros((50, 8)), y[::2], x[1::2], 5, 4)
+
+    @staticmethod
+    def _queries_tied_across_labels(train_x, train_y, test_x, k):
+        """Queries whose k-th distance is shared by more train rows than
+        places are left, with more than one label among those rows."""
+        un_train = normalize_rows(np.asarray(train_x, dtype=np.float64))
+        un_test = normalize_rows(np.asarray(test_x, dtype=np.float64))
+        tied = 0
+        for q in un_test:
+            dist = 1.0 - un_train @ q
+            kth = np.sort(dist)[min(k, dist.size) - 1]
+            at = dist == kth
+            places = min(k, dist.size) - int((dist < kth).sum())
+            tied += int(at.sum() > places and np.unique(train_y[at]).size > 1)
+        return tied
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rounded_features_tie_at_kth_distance(self, seed):
+        # Integer features on a small grid repeat the same directions, so
+        # the k-th distance is shared by rows of different labels.
+        rng = make_rng(seed, 18)
+        c = int(rng.integers(2, 6))
+        y = rng.integers(0, c, 90)
+        x = np.round(1.5 * rng.standard_normal((130, 2)))
+        for k in (1, 4, 5, 9):
+            self._check(x[:90], y, x[90:], k, c)
+        assert self._queries_tied_across_labels(x[:90], y, x[90:], 5) > 0
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_all_zero_train_features_tie_every_distance(self, k):
+        # Every distance is 1.0; the neighbors are the k lowest labels.
+        rng = make_rng(19, 13)
+        y = rng.integers(0, 5, 40)
+        test_x = rng.standard_normal((12, 6))
+        self._check(np.zeros((40, 6)), y, test_x, k, 5)
+        assert self._queries_tied_across_labels(np.zeros((40, 6)), y, test_x, k) == 12
+
+    @pytest.mark.parametrize("k", [6, 7, 50])
+    def test_k_at_or_above_train_rows(self, k):
+        rng = make_rng(20, 13)
+        train_x = rng.standard_normal((6, 4))
+        y = np.array([2, 0, 1, 2, 1, 0])
+        test_x = rng.standard_normal((9, 4))
+        self._check(train_x, y, test_x, k, 3)
+        self._check(train_x, y[[0, 0, 1, 1, 2, 2]], test_x, k, 3)
+
+
+class TestKnnInputs:
+    @pytest.mark.parametrize("where", ["train", "test"])
+    def test_non_finite_features_rejected(self, where):
+        x = make_rng(21, 13).standard_normal((20, 3))
+        bad = x.copy()
+        bad[4, 1] = np.nan
+        train, test = (bad, x) if where == "train" else (x, bad)
+        with pytest.raises(NonFiniteError, match=f"{where}_x"):
+            knn_predict(train, np.arange(20) % 2, test, 5, 2)
+
+    @pytest.mark.parametrize("n_train, labels, k, error", [
+        (10, np.arange(10) % 2, 0, ConfigError),
+        (10, np.arange(9) % 2, 5, ShapeError),
+        (10, np.arange(11) % 2, 5, ShapeError),
+        (0, np.arange(0), 5, DegenerateInputError),
+        (10, np.arange(10) % 3, 5, LabelError),
+        (10, np.arange(10) % 2 - 1, 5, LabelError),
+    ])
+    def test_malformed_input_rejected(self, n_train, labels, k, error):
+        x = make_rng(22, 13).standard_normal((n_train, 3))
+        with pytest.raises(error):
+            knn_predict(x, labels, np.ones((4, 3)), k, 2)
 
 
 class TestKnnSplit:

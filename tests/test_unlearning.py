@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unlbench import unlearning
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe, split_random_forget
 from unlbench.errors import ConfigError, DegenerateInputError, DivergenceError
 from unlbench.model import (
@@ -38,6 +39,7 @@ from unlbench.unlearning import (
     retrain_gold,
     run_unlearning,
     saliency_mask,
+    tempered_teacher,
     top_fraction_mask,
     unlearn_ga,
     unlearn_pl,
@@ -362,6 +364,32 @@ class TestScrub:
                       scrub_max_steps_per_epoch=3, scrub_min_steps_per_epoch=0)
         res = run_unlearning(theta_o, split, cfg)
         assert params_equal(res.params, theta_o)
+
+    def test_teacher_forwarded_once_per_split_set(self, scenario, monkeypatch):
+        """The frozen teacher's outputs are computed once per run, over the
+        whole of Df and of Dr, and sliced per step."""
+        theta_o, split = scenario
+        calls = []
+
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        monkeypatch.setattr(unlearning, "forward", recording)
+        cfg = replace(cfg_for("SCRUB", epochs=3),
+                      scrub_max_steps_per_epoch=4, scrub_min_steps_per_epoch=5)
+        unlearn_scrub(theta_o, split.Df, split.Dr, cfg)
+        assert all(p is theta_o for p, _ in calls)
+        assert [n for _, n in calls] == [split.Df.n, split.Dr.n]
+
+    def test_prepared_teacher_gives_identical_kl(self):
+        rng = make_rng(10, 0)
+        teacher, student = rng.standard_normal((2, 7, 5))
+        kl, d = kl_teacher_student(teacher, student, temperature=2.0)
+        kl_p, d_p = kl_teacher_student(tempered_teacher(teacher, 2.0), student, 2.0)
+        assert kl_p == kl and np.array_equal(d_p, d)
+        probs = np.exp(teacher / 2.0) / np.exp(teacher / 2.0).sum(axis=1, keepdims=True)
+        assert np.allclose(tempered_teacher(teacher, 2.0)[0], probs, rtol=1e-12, atol=0.0)
 
     def test_min_phase_first_step_is_pure_ce_step(self, scenario):
         theta_o, split = scenario
