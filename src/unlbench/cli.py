@@ -26,6 +26,7 @@ from .harness import (
     MIN_PROBE_ROWS,
     ExperimentConfig,
     ScenarioSpec,
+    _scenario_name,
     default_method_config,
     evaluate_model,
     method_config,
@@ -222,7 +223,7 @@ def _cmd_eval(args) -> int:
     ev = evaluate_model(ctx, unlearned.params)
     del ev["probe_features"]
     report = MetricsReport(method=unlearned.provenance.get("role", "unlearned"),
-                           scenario=args.scenario_kind, seed=args.seed, **ev)
+                           scenario=_scenario_name(ctx.scenario), seed=args.seed, **ev)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -34,6 +34,7 @@ from .metrics import (
     KnnSplit,
     MetricsReport,
     ReprScores,
+    SplitLogits,
     cka_side,
     compute_agl,
     compute_agr,
@@ -243,22 +244,17 @@ class ScenarioContext:
         """name -> the probe inputs of each downstream dataset."""
         return {n: self.downstreams[n].X[r.probe_idx] for n, r in self.references.items()}
 
-    @property
-    def mia_member(self) -> Dataset:
-        """The MIA's member sample: rows mia_idx[0] of Dr."""
-        return _rows(self.split.Dr, self.mia_idx[0])
-
-    @property
-    def mia_nonmember(self) -> Dataset:
-        """The MIA's non-member sample: rows mia_idx[1] of Dr_te."""
-        return _rows(self.split.Dr_te, self.mia_idx[1])
+    @cached_property
+    def logits_r(self) -> SplitLogits:
+        """theta_r's split_logits, computed on first use: the dp-noise sweep
+        never needs them, and their forward pass over a large retain set
+        would set its peak memory."""
+        return split_logits(self.theta_r, self.split)
 
     @cached_property
     def acc_r(self) -> tuple:
-        """theta_r's split_accuracies, computed on first use: the dp-noise
-        sweep never needs them, and their forward pass over a large retain
-        set would set its peak memory."""
-        return split_accuracies(self.theta_r, self.split)
+        """theta_r's split_accuracies, read off logits_r."""
+        return split_accuracies(self.logits_r, self.split)
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
@@ -326,10 +322,6 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
     )
 
 
-def _rows(ds: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(ds.X[idx], ds.y[idx], ds.num_classes)
-
-
 def _representation(theta: MlpParams, ds: Dataset, probe_idx: np.ndarray,
                     split: KnnSplit | None) -> tuple:
     """theta's k-NN accuracy on ds (None without a split), probe CkaSide
@@ -356,7 +348,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
             cka_uo=compute_cka(side_u, ref.cka_o),
         )
     scores = ReprScores(per_dataset)
-    outs = split_logits(theta_u, ctx.split)
+    outs = ctx.logits_r if theta_u is ctx.theta_r else split_logits(theta_u, ctx.split)
     gaps = logit_gaps(outs, ctx.acc_r, ctx.split)
     agl = compute_agl(gaps)
     agr = compute_agr(scores, ctx.scenario.kind, ctx.scenario.related_dataset)
@@ -366,7 +358,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
         "agl": agl,
         "agr": agr,
         "hlr": compute_hlr(agl, agr),
-        "mia": mia_efficacy(outs.attack_features(*ctx.mia_idx)),
+        "mia": mia_efficacy(*outs.attack_features(*ctx.mia_idx)),
         "probe_features": probes,
     }
 
@@ -528,13 +520,6 @@ def emit_report(reports: list, output_dir, config_echo: dict | None = None) -> d
     return paths
 
 
-def load_reports(path) -> list:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise ConfigError(f"report version must be 1, got {doc.get('version')!r}")
-    return [MetricsReport.from_dict(d) for d in doc["reports"]]
-
-
 def _find_method(cfg: ExperimentConfig, method: str) -> tuple:
     for i, m in enumerate(cfg.methods):
         if m.method == method:
@@ -636,6 +621,7 @@ def last_layer_analysis(theta_o: MlpParams, theta_r: MlpParams,
     feats_full, _ = forward(full, split.Dr_te.X)
     feats_head, _ = forward(head, split.Dr_te.X)
     cka = compute_cka(feats_full, feats_head)
-    agl_full = compute_agl(logit_gaps(full, theta_r, split))
-    agl_head = compute_agl(logit_gaps(head, theta_r, split))
+    acc_r = split_accuracies(split_logits(theta_r, split), split)
+    agl_full, agl_head = (compute_agl(logit_gaps(split_logits(m, split), acc_r, split))
+                          for m in (full, head))
     return LastLayerReport(cka, abs(agl_full - agl_head), agl_full, agl_head)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, ForgetSplit
+from .data import ForgetSplit
 from .errors import ConfigError, DegenerateInputError, LabelError, ShapeError
 # gram_linear and hsic are imported only because perfbench/tracer.py hooks
 # them under these names; CKA does not call them.
@@ -64,10 +64,6 @@ class ReprScores:
     def to_dict(self) -> dict:
         return {name: d.to_dict() for name, d in self.per_dataset.items()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ReprScores":
-        return ReprScores({name: DownstreamRepr(**v) for name, v in d.items()})
-
 
 @dataclass
 class MetricsReport:
@@ -106,18 +102,6 @@ class MetricsReport:
             "sample_visits": self.sample_visits,
             "provenance": self.provenance,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsReport":
-        logit = LogitGaps(**d["logit"]) if d.get("logit") else None
-        scores = ReprScores.from_dict(d["repr_scores"]) if d.get("repr_scores") else None
-        return MetricsReport(
-            method=d["method"], scenario=d["scenario"], seed=d["seed"],
-            status=d.get("status", "ok"), logit=logit, repr_scores=scores,
-            agl=d.get("agl"), agr=d.get("agr"), hlr=d.get("hlr"),
-            mia=d.get("mia"), sample_visits=d.get("sample_visits", 0),
-            provenance=d.get("provenance", {}),
-        )
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -342,8 +326,8 @@ def compute_agr(scores: ReprScores, scenario_kind: str,
 @dataclass(frozen=True)
 class SplitLogits:
     """One model's logits on a split's Df, Dr, Df_te and Dr_te, from one
-    forward pass over each set.  logit_gaps takes it in place of the model,
-    and attack_features slices mia_efficacy's prepared input from it."""
+    forward pass over each set.  split_accuracies and logit_gaps score it,
+    and attack_features slices mia_efficacy's input from it."""
     df: np.ndarray
     dr: np.ndarray
     df_te: np.ndarray
@@ -365,39 +349,24 @@ def split_logits(params: MlpParams, split: ForgetSplit) -> SplitLogits:
     return SplitLogits(*(forward(params, d.X)[1] for d in _split_sets(split)))
 
 
-def split_accuracies(model: MlpParams | SplitLogits, split: ForgetSplit) -> tuple:
-    """Accuracy on Df, Dr, Df_te and Dr_te, in that order.
-
-    model is the model or its split_logits.
-    """
-    outs = model if isinstance(model, SplitLogits) else split_logits(model, split)
+def split_accuracies(outs: SplitLogits, split: ForgetSplit) -> tuple:
+    """A model's accuracy on Df, Dr, Df_te and Dr_te, in that order, from
+    its split_logits."""
     return tuple(accuracy(logits, d) for logits, d in
                  zip((outs.df, outs.dr, outs.df_te, outs.dr_te), _split_sets(split)))
 
 
-def logit_gaps(theta_u: MlpParams | SplitLogits, theta_r: MlpParams | tuple,
-               split: ForgetSplit) -> LogitGaps:
-    """FA/RA/TFA/TRA of theta_u and absolute accuracy gaps to theta_r.
-
-    theta_u is the unlearned model or its split_logits, which a caller that
-    needs the model's split outputs for other metrics too computes once.
-    theta_r is the retrained model or its split_accuracies, which a caller
-    scoring many models against one theta_r computes once.
-    """
-    acc_u = split_accuracies(theta_u, split)
-    acc_r = theta_r if isinstance(theta_r, tuple) else split_accuracies(theta_r, split)
+def logit_gaps(outs: SplitLogits, acc_r: tuple, split: ForgetSplit) -> LogitGaps:
+    """FA/RA/TFA/TRA of the unlearned model whose split_logits are outs, and
+    their absolute gaps to acc_r, the retrained model's split_accuracies."""
+    acc_u = split_accuracies(outs, split)
     gaps = [abs(u - r) for u, r in zip(acc_u, acc_r)]
     return LogitGaps(*acc_u, *gaps)
 
 
 def _max_softmax(logits: np.ndarray) -> np.ndarray:
-    return softmax(logits).max(axis=1)
-
-
-def max_confidence(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """The attack feature: maximum softmax probability per sample."""
-    _, logits = forward(params, x)
-    return _max_softmax(logits)
+    return softmax(logits).max(axis=1)
 
 
 def fit_linear_svm(features: np.ndarray, labels01: np.ndarray, seed: int,
@@ -493,26 +462,20 @@ def solve_linear_svm(features: np.ndarray, labels01: np.ndarray) -> tuple:
     return np.array([w]), best_b(w)
 
 
-def mia_efficacy(theta_u: MlpParams | tuple, dr_sample: Dataset | None = None,
-                 dtest_sample: Dataset | None = None, df: Dataset | None = None) -> float:
+def mia_efficacy(conf_member: np.ndarray, conf_nonmember: np.ndarray,
+                 conf_f: np.ndarray) -> float:
     """Fraction of forget samples an SVM attacker calls non-members.
 
-    The attacker fits a linear SVM (solve_linear_svm, solved exactly) on
-    max-confidence features with members from the retain train sample
-    (label 1) and non-members from unseen test data (label 0), balanced;
-    higher efficacy means more convincing forgetting.  When every attack
-    row has the same confidence the attack has no signal, and the efficacy
-    is 1.0: every forget row counts as a non-member.
-
-    theta_u is the unlearned model, or its max-confidence vectors on the
-    member sample, the non-member sample and the forget set, in that order
-    (SplitLogits.attack_features); the three datasets are then not read.
+    The arguments are the unlearned model's max-confidence vectors on the
+    member sample, the non-member sample and the forget set, as
+    SplitLogits.attack_features returns them.  The attacker fits a linear
+    SVM (solve_linear_svm, solved exactly) on those features with members
+    from the retain train sample (label 1) and non-members from unseen test
+    data (label 0), balanced; higher efficacy means more convincing
+    forgetting.  When every attack row has the same confidence the attack
+    has no signal, and the efficacy is 1.0: every forget row counts as a
+    non-member.
     """
-    if isinstance(theta_u, tuple):
-        conf_member, conf_nonmember, conf_f = theta_u
-    else:
-        conf_member, conf_nonmember, conf_f = (
-            max_confidence(theta_u, d.X) for d in (dr_sample, dtest_sample, df))
     n_member, n_nonmember = conf_member.size, conf_nonmember.size
     if n_member == 0 or n_nonmember == 0 or conf_f.size == 0:
         raise DegenerateInputError("MIA needs nonempty member, non-member, and forget sets")

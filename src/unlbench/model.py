@@ -490,14 +490,11 @@ def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParam
     return work
 
 
-def accuracy(params: MlpParams | np.ndarray, dataset: Dataset) -> float:
-    """Argmax accuracy; argmax resolves ties toward the lowest class index.
-
-    params is the model or its logits on dataset.
-    """
+def accuracy(logits: np.ndarray, dataset: Dataset) -> float:
+    """Argmax accuracy of a model's logits on dataset; argmax resolves ties
+    toward the lowest class index."""
     if dataset.n == 0:
         raise DegenerateInputError("accuracy of an empty dataset is undefined")
-    logits = params if isinstance(params, np.ndarray) else forward(params, dataset.X)[1]
     return float((np.argmax(logits, axis=1) == dataset.y).mean())
 
 

@@ -408,19 +408,16 @@ def tempered_teacher(teacher_logits: np.ndarray, temperature: float) -> tuple:
     return np.exp(log_t), log_t
 
 
-def kl_teacher_student(teacher_logits: np.ndarray | tuple, student_logits: np.ndarray,
+def kl_teacher_student(teacher_pair: tuple, student_logits: np.ndarray,
                        temperature: float) -> tuple:
     """Mean KL(teacher || student) on temperature-scaled logits.
 
-    teacher_logits may be the teacher's tempered_teacher pair, which a
-    caller distilling from one frozen teacher computes once for all its
-    rows and slices per batch.  Returns (kl, d_student_logits) for the
+    teacher_pair is the teacher's tempered_teacher at the same temperature,
+    which a caller distilling from one frozen teacher computes once for all
+    its rows and slices per batch.  Returns (kl, d_student_logits) for the
     batch mean.
     """
-    if isinstance(teacher_logits, tuple):
-        t, log_t = teacher_logits
-    else:
-        t, log_t = tempered_teacher(teacher_logits, temperature)
+    t, log_t = teacher_pair
     log_s = log_softmax(student_logits / temperature)
     n = student_logits.shape[0]
     kl = float((t * (log_t - log_s)).sum(axis=1).mean())

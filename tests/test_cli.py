@@ -133,7 +133,7 @@ def test_eval_reproduces_every_default_run_row(tmp_path):
     for label, params in models.items():
         save_checkpoint(ModelCheckpoint(params, {"role": label}), tmp_path / label)
 
-    keys = ("logit", "repr_scores", "agl", "agr", "hlr", "mia")
+    keys = ("scenario", "logit", "repr_scores", "agl", "agr", "hlr", "mia")
     labels = ["original", "retrained"] + [f"{m.method}-r0" for m in cfg.methods]
     assert len(reports) == len(labels) == 11
     for label, report in zip(labels, reports):

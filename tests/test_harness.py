@@ -19,14 +19,12 @@ from unlbench.harness import (
     default_method_config,
     emit_report,
     evaluate_model,
-    load_reports,
-    reports_to_json,
     run_scenario,
     select_top_classes,
     sweep_dp_noise,
     sweep_hyperparameters,
 )
-from unlbench.model import TrainConfig, forward, init_params, sgd_train
+from unlbench.model import TrainConfig, forward, init_params, sgd_train, softmax
 from unlbench.rng import make_rng
 from unlbench.unlearning import UnlearnConfig, run_unlearning
 
@@ -230,29 +228,51 @@ DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json
 
 @pytest.fixture(scope="module")
 def default_run():
-    """The shipped default config's scenario and its run_scenario output."""
+    """The shipped default config's scenario, its run_scenario output, and
+    the (params, rows) of each split-set forward that run made."""
     cfg = ExperimentConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
     ctx = build_scenario(cfg)
-    reports, models = run_scenario(cfg, emit=False, ctx=ctx)
-    return ctx, reports, models
+    calls = []
+
+    def recording(params, x):
+        calls.append((params, len(x)))
+        return forward(params, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "forward", recording)
+        reports, models = run_scenario(cfg, emit=False, ctx=ctx)
+    return ctx, reports, models, calls
 
 
 class TestDefaultRun:
     def test_mia_matches_the_model_form_bit_for_bit(self, default_run):
         """The harness slices the MIA's inputs from each model's split
-        logits; the score equals mia_efficacy run on the model itself."""
-        ctx, reports, models = default_run
+        logits; the score equals the MIA on confidences from forwarding the
+        model over the member rows, the non-member rows and Df separately."""
+        ctx, reports, models, _ = default_run
         assert len(reports) == 11 and all(r.status == "ok" for r in reports)
+        samples = (ctx.split.Dr.X[ctx.mia_idx[0]], ctx.split.Dr_te.X[ctx.mia_idx[1]],
+                   ctx.split.Df.X)
         for r in reports:
             label = r.method if r.provenance["role"] != "unlearned" \
                 else f"{r.method}-r{r.provenance['repeat']}"
-            want = metrics.mia_efficacy(models[label], ctx.mia_member, ctx.mia_nonmember,
-                                        ctx.split.Df)
+            want = metrics.mia_efficacy(*(softmax(forward(models[label], x)[1]).max(axis=1)
+                                          for x in samples))
             assert r.mia == want, label
+
+    def test_each_model_forwarded_once_per_split_set(self, default_run):
+        """Every scored model, theta_r included, whose accuracies and own
+        row share one forward over each of Df, Dr, Df_te and Dr_te."""
+        ctx, reports, models, calls = default_run
+        split = ctx.split
+        sizes = [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
+        for params in models.values():
+            assert [n for p, n in calls if p is params] == sizes
+        assert len(calls) == len(sizes) * len(reports)
 
     def test_scrub_preset_forwards_its_teacher_once_per_split_set(self, default_run,
                                                                   monkeypatch):
-        ctx, _, _ = default_run
+        ctx, _, _, _ = default_run
         calls = []
 
         def recording(params, x):
@@ -266,15 +286,7 @@ class TestDefaultRun:
         assert sum(n for _, n in calls) == 500
 
 
-class TestEmitAndLoad:
-    def test_round_trip_byte_identical(self, tmp_path):
-        cfg = mini_config(output_dir=str(tmp_path / "o"))
-        reports, _ = run_scenario(cfg)
-        first = (tmp_path / "o" / "report.json").read_text()
-        back = load_reports(tmp_path / "o" / "report.json")
-        doc = json.loads(first)
-        assert reports_to_json(back, doc.get("config")) == first
-
+class TestEmit:
     def test_empty_report_list_gives_header_only_csv(self, tmp_path):
         paths = emit_report([], tmp_path / "o")
         lines = paths["csv"].read_text().splitlines()
@@ -324,6 +336,24 @@ class TestSweeps:
         lines = text.splitlines()
         assert lines[0] == "lr\\epochs,1,2,3,status"
         assert len(lines) == 4
+
+    def test_dp_noise_sweep_never_forwards_theta_r(self, monkeypatch):
+        """The dp-noise sweep scores representations only, so theta_r's
+        split logits, whose forward over a large retain set would set the
+        sweep's peak memory, stay uncomputed."""
+        cfg = mini_config()
+        ctx = build_scenario(cfg)
+        calls = []
+
+        def recording(params, x):
+            calls.append(params)
+            return forward(params, x)
+
+        for module in (harness, metrics):
+            monkeypatch.setattr(module, "forward", recording)
+        sweep_dp_noise(cfg, "PL", [0.0, 0.5], ctx=ctx)
+        assert calls and not any(p is ctx.theta_r for p in calls)
+        assert "logits_r" not in vars(ctx) and "acc_r" not in vars(ctx)
 
     def test_dp_noise_zero_sigma_matches_noiseless(self):
         cfg = mini_config()

@@ -4,13 +4,11 @@ k-NN oracle equivalence, and the membership inference attack."""
 import numpy as np
 import pytest
 
-from unlbench.data import Dataset
 from unlbench.errors import (ConfigError, DegenerateInputError, LabelError, NonFiniteError,
                              ShapeError)
 from unlbench.metrics import (
     DownstreamRepr,
     LogitGaps,
-    MetricsReport,
     ReprScores,
     compute_agl,
     compute_agr,
@@ -25,13 +23,14 @@ from unlbench.metrics import (
     knn_split,
     last_layer_analysis,
     logit_gaps,
-    max_confidence,
     mia_efficacy,
     solve_linear_svm,
+    split_accuracies,
+    split_logits,
     stratified_split,
 )
 from unlbench.kernels import as_matrix, gram_linear, hsic
-from unlbench.model import MlpParams, TrainConfig
+from unlbench.model import MlpParams, TrainConfig, forward, softmax
 from unlbench.rng import make_rng
 
 
@@ -502,43 +501,35 @@ class TestKnnSplit:
 
 
 class TestMia:
-    def _model(self):
-        # 1-d input, 2 classes: logit gap grows with |x|.
-        return MlpParams(
+    @staticmethod
+    def confidences(x: float, n: int) -> np.ndarray:
+        """The max-softmax confidence of a 1-d, 2-class model, whose logit
+        gap grows with |x|, on n rows of value x."""
+        model = MlpParams(
             W1=np.array([[1.0, -1.0]]), b1=np.zeros(2),
             W2=np.array([[1.0, -1.0], [-1.0, 1.0]]), b2=np.zeros(2),
             Whead=np.array([[6.0, -6.0], [-6.0, 6.0]]), bhead=np.zeros(2),
         )
+        return softmax(forward(model, np.full((n, 1), x))[1]).max(axis=1)
 
     def test_separable_construction_gives_full_efficacy(self):
-        model = self._model()
-        members = Dataset(np.full((30, 1), 3.0), np.zeros(30, dtype=int), 2)
-        nonmembers = Dataset(np.full((30, 1), 0.12), np.zeros(30, dtype=int), 2)
-        forget = Dataset(np.full((20, 1), 0.1), np.ones(20, dtype=int), 2)
-        assert max_confidence(model, members.X).min() > 0.999
-        eff = mia_efficacy(model, members, nonmembers, forget)
-        assert eff >= 0.99
+        members, nonmembers = self.confidences(3.0, 30), self.confidences(0.12, 30)
+        assert members.min() > 0.999
+        assert mia_efficacy(members, nonmembers, self.confidences(0.1, 20)) >= 0.99
 
     def test_members_looking_forget_set_scores_zero(self):
-        model = self._model()
-        members = Dataset(np.full((30, 1), 3.0), np.zeros(30, dtype=int), 2)
-        nonmembers = Dataset(np.full((30, 1), 0.12), np.zeros(30, dtype=int), 2)
-        forget = Dataset(np.full((20, 1), 3.0), np.ones(20, dtype=int), 2)
-        assert mia_efficacy(model, members, nonmembers, forget) <= 0.01
+        members, nonmembers = self.confidences(3.0, 30), self.confidences(0.12, 30)
+        assert mia_efficacy(members, nonmembers, self.confidences(3.0, 20)) <= 0.01
 
     def test_unbalanced_sets_rejected(self):
-        model = self._model()
-        a = Dataset(np.ones((5, 1)), np.zeros(5, dtype=int), 2)
-        b = Dataset(np.ones((6, 1)), np.zeros(6, dtype=int), 2)
+        a, b = self.confidences(1.0, 5), self.confidences(1.0, 6)
         with pytest.raises(ConfigError):
-            mia_efficacy(model, a, b, a)
+            mia_efficacy(a, b, a)
 
     def test_empty_set_rejected(self):
-        model = self._model()
-        a = Dataset(np.ones((5, 1)), np.zeros(5, dtype=int), 2)
-        empty = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
+        a = self.confidences(1.0, 5)
         with pytest.raises(DegenerateInputError):
-            mia_efficacy(model, a, a, empty)
+            mia_efficacy(a, a, self.confidences(1.0, 0))
 
     def test_svm_label_flip_symmetry(self):
         rng = make_rng(3, 9)
@@ -667,9 +658,8 @@ class TestExactSvm:
         w, b = solve_linear_svm(np.full(10, 0.3), np.arange(10) % 2)
         assert w.shape == (1,) and w[0] == 0.0 and b == 0.0
         # Every attack row has the same confidence: no membership signal.
-        model = TestMia()._model()
-        same = Dataset(np.full((30, 1), 3.0), np.zeros(30, dtype=int), 2)
-        assert mia_efficacy(model, same, same, same) == 1.0
+        same = TestMia.confidences(3.0, 30)
+        assert mia_efficacy(same, same, same) == 1.0
 
     def test_shape_and_class_checks(self):
         with pytest.raises(ShapeError):
@@ -693,11 +683,16 @@ class TestLogitGapsAndLastLayer:
         return theta_o, theta_r, split
 
     def test_gaps_match_hand_computation(self):
-        from unlbench.model import accuracy
         theta_o, theta_r, split = self._toy()
-        gaps = logit_gaps(theta_o, theta_r, split)
-        assert gaps.fa == accuracy(theta_o, split.Df)
-        assert gaps.g_f == abs(accuracy(theta_o, split.Df) - accuracy(theta_r, split.Df))
+        acc_r = split_accuracies(split_logits(theta_r, split), split)
+        gaps = logit_gaps(split_logits(theta_o, split), acc_r, split)
+
+        def hand(theta, d):
+            return float((np.argmax(forward(theta, d.X)[1], axis=1) == d.y).mean())
+
+        sets = (split.Df, split.Dr, split.Df_te, split.Dr_te)
+        assert (gaps.fa, gaps.ra, gaps.tfa, gaps.tra) == tuple(hand(theta_o, d) for d in sets)
+        assert gaps.gaps() == tuple(abs(hand(theta_o, d) - hand(theta_r, d)) for d in sets)
         for g in gaps.gaps():
             assert 0.0 <= g <= 1.0
 
@@ -710,15 +705,21 @@ class TestLogitGapsAndLastLayer:
         assert report.cka_full_vs_head == 1.0
         assert report.agl_gap == 0.0
 
+    def test_each_model_forwarded_once_per_split_set(self, monkeypatch):
+        """theta_r's accuracies are computed once and both runs are scored
+        against them."""
+        from unlbench import metrics
+        from unlbench.unlearning import UnlearnConfig
+        theta_o, theta_r, split = self._toy()
+        calls = []
 
-class TestReportSerialization:
-    def test_round_trip_is_lossless(self):
-        report = MetricsReport(
-            method="PL", scenario="random-5", seed=42, status="ok",
-            logit=gaps_row(0.0, 0.9, 0.0, 0.85),
-            repr_scores=ReprScores({"a": repr_row(0.02, 0.9)}),
-            agl=0.9, agr=0.8, hlr=0.847, mia=0.95, sample_visits=1250,
-            provenance={"repeat": 0},
-        )
-        back = MetricsReport.from_dict(report.to_dict())
-        assert back.to_dict() == report.to_dict()
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        monkeypatch.setattr(metrics, "forward", recording)
+        cfg = UnlearnConfig("PL", TrainConfig(lr=0.05, epochs=1, seed=5))
+        last_layer_analysis(theta_o, theta_r, split, cfg)
+        sizes = [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
+        assert [n for p, n in calls if p is theta_r] == sizes
+        assert len(calls) == 3 * len(sizes)

@@ -174,7 +174,7 @@ class TestSgdTrain:
         train, _, _, _ = generate_universe(SyntheticSpec())
         cfg = TrainConfig(lr=0.1, epochs=30, batch_size=64, momentum=0.9, seed=11)
         params = sgd_train(init_params(32, 20, 11), train, cfg)
-        assert accuracy(params, train) >= 0.95
+        assert accuracy(forward(params, train.X)[1], train) >= 0.95
 
     def test_freeze_encoder_training_touches_only_head(self):
         p = init_params(6, 3, 4)
@@ -549,7 +549,7 @@ class TestAccuracy:
         x = make_rng(5, 1).standard_normal((1, 5))
         _, logits = forward(p, x)
         ds = Dataset(x, np.array([int(np.argmax(logits))]), 4)
-        assert accuracy(p, ds) == 1.0
+        assert accuracy(logits, ds) == 1.0
 
     def test_tie_break_toward_lowest_class(self):
         p = MlpParams(
@@ -557,7 +557,7 @@ class TestAccuracy:
             b2=np.zeros(2), Whead=np.zeros((2, 5)), bhead=np.zeros(5),
         )
         ds = Dataset(np.ones((6, 3)), np.zeros(6, dtype=np.int64), 5)
-        assert accuracy(p, ds) == 1.0
+        assert accuracy(forward(p, ds.X)[1], ds) == 1.0
 
     def test_matches_recount_oracle(self):
         train, test, _, _ = generate_universe(SyntheticSpec(
@@ -567,11 +567,11 @@ class TestAccuracy:
                            TrainConfig(lr=0.1, epochs=5, seed=3))
         _, logits = forward(params, test.X)
         correct = sum(int(np.argmax(logits[i]) == test.y[i]) for i in range(test.n))
-        assert accuracy(params, test) == correct / test.n
+        assert accuracy(logits, test) == correct / test.n
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DegenerateInputError):
-            accuracy(tiny_params(0), Dataset(np.empty((0, 5)), np.empty(0, dtype=int), 4))
+            accuracy(np.empty((0, 4)), Dataset(np.empty((0, 5)), np.empty(0, dtype=int), 4))
 
 
 class TestCheckpoint:
