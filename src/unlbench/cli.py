@@ -7,6 +7,7 @@ with a top-level "version" field.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -248,6 +249,17 @@ class SweepSpec(ConfigDict):
     lr_grid: tuple[float, ...] = (0.005, 0.01, 0.05)
     epoch_grid: tuple[int, ...] = (5, 10, 15)
     sigma_grid: tuple[float, ...] = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 30.0)
+
+    def __post_init__(self):
+        # Checked here, before the sweep trains anything; written so that
+        # NaN fails too.
+        for name in ("lr_grid", "epoch_grid", "sigma_grid"):
+            grid = getattr(self, name)
+            if not grid:
+                raise ConfigError(f"sweep.{name} must not be empty")
+            for v in grid:
+                if not 0 <= v < math.inf:
+                    raise ConfigError(f"sweep.{name}: values must be finite and >= 0, got {v}")
 
 
 def _cmd_sweep(args) -> int:

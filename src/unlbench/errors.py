@@ -39,3 +39,12 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"non-finite loss at training step {step}")
+
+    def __reduce__(self):
+        # The default rebuilds from args, the message alone, which would
+        # pass the message as the step.
+        return type(self), (self.step, str(self))
+
+
+class WorkerError(RuntimeError):
+    """A worker process exited non-zero or wrote output that cannot be read."""

@@ -10,6 +10,7 @@ deterministic sample-visit counts instead.
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -51,7 +52,8 @@ from .metrics import (
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
 from .serial import ConfigDict
-from .unlearning import UnlearnConfig, compute_centroids, run_unlearning
+from .unlearning import (UnlearnConfig, compute_centroids, run_length, run_unlearning,
+                         unlearn_cells)
 
 # Seed-derivation streams under master_seed.
 _S_TRAIN_ORIGINAL = 1
@@ -215,13 +217,16 @@ def select_top_classes(params: MlpParams, train: Dataset, downstream: Dataset,
 @dataclass(frozen=True)
 class Reference:
     """A downstream dataset's evaluation references, drawn once per
-    scenario: its probe rows, its k-NN split, theta_r's k-NN accuracy, and
-    theta_o's and theta_r's probe CkaSides."""
+    scenario: its probe rows, its k-NN split, theta_r's k-NN accuracy,
+    theta_o's and theta_r's probe CkaSides, and the two models' features
+    on the whole dataset, which scoring them reuses."""
     probe_idx: np.ndarray
     knn_split: KnnSplit
     knn_r: float
     cka_o: CkaSide
     cka_r: CkaSide
+    feats_o: np.ndarray
+    feats_r: np.ndarray
 
 
 @dataclass
@@ -243,6 +248,16 @@ class ScenarioContext:
     def probes(self) -> dict:
         """name -> the probe inputs of each downstream dataset."""
         return {n: self.downstreams[n].X[r.probe_idx] for n, r in self.references.items()}
+
+    def features(self, theta: MlpParams, name: str) -> np.ndarray:
+        """theta's features on downstream dataset name: one forward pass,
+        or for theta_o and theta_r the one scenario_context kept."""
+        ref = self.references[name]
+        if theta is self.theta_o:
+            return ref.feats_o
+        if theta is self.theta_r:
+            return ref.feats_r
+        return forward(theta, self.downstreams[name].X)[0]
 
     @cached_property
     def logits_r(self) -> SplitLogits:
@@ -307,9 +322,10 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
         rng = make_rng(derive_seed(master_seed, _S_PROBE_BASE + i), 0)
         idx = rng.choice(ds.n, size=min(probe_rows, ds.n), replace=False)
         split_knn = knn_split(ds.y, 5, knn_seed)
-        _, cka_o, _ = _representation(theta_o, ds, idx, None)
-        knn_r, cka_r, _ = _representation(theta_r, ds, idx, split_knn)
-        references[name] = Reference(idx, split_knn, knn_r, cka_o, cka_r)
+        feats_o, feats_r = forward(theta_o, ds.X)[0], forward(theta_r, ds.X)[0]
+        _, cka_o, _ = _representation(feats_o, idx, None)
+        knn_r, cka_r, _ = _representation(feats_r, idx, split_knn)
+        references[name] = Reference(idx, split_knn, knn_r, cka_o, cka_r, feats_o, feats_r)
 
     mia_rng = make_rng(derive_seed(master_seed, _S_MIA), 1)
     n_bal = min(split.Dr.n, split.Dr_te.n, 500)
@@ -322,11 +338,10 @@ def scenario_context(scenario: ScenarioSpec, master_seed: int, probe_rows: int,
     )
 
 
-def _representation(theta: MlpParams, ds: Dataset, probe_idx: np.ndarray,
+def _representation(feats: np.ndarray, probe_idx: np.ndarray,
                     split: KnnSplit | None) -> tuple:
-    """theta's k-NN accuracy on ds (None without a split), probe CkaSide
-    and probe features, from one forward pass over the whole dataset."""
-    feats, _ = forward(theta, ds.X)
+    """A model's k-NN accuracy (None without a split), probe CkaSide and
+    probe features, from its features on a whole downstream dataset."""
     knn = None if split is None else compute_knn_accuracy(feats, split)
     probe = feats[probe_idx]
     return knn, cka_side(probe), probe
@@ -339,7 +354,7 @@ def evaluate_model(ctx: ScenarioContext, theta_u: MlpParams) -> dict:
     per_dataset, probes = {}, {}
     for name, ref in ctx.references.items():
         knn_u, side_u, probes[name] = _representation(
-            theta_u, ctx.downstreams[name], ref.probe_idx, ref.knn_split)
+            ctx.features(theta_u, name), ref.probe_idx, ref.knn_split)
         per_dataset[name] = DownstreamRepr(
             knn_acc_u=knn_u,
             knn_acc_r=ref.knn_r,
@@ -563,6 +578,38 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
                               for lr, row, status in zip(lr_grid, grid, statuses)])
 
 
+# A worker process pays off only once the cells it takes outlast its start,
+# about 0.3 s on the 2-CPU reference machine (interpreter, package import,
+# the pickled split).  Timed there on seven-cell FT dp-noise sweeps, worker
+# against none, BLAS on one thread, medians of five: on the default config
+# 2 016 steps took 0.67 s against 0.61 s and 2 688 steps 0.76 s against
+# 0.79 s; on large-top-dp's scenario 1 918 steps took 0.54 s against
+# 0.56 s and 9 590 steps 2.1 s against 2.6 s.
+WORKER_MIN_STEPS = 2500
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
+    """unlearn_cells over cfgs, with every second cell in one worker process
+    (unlbench.worker) when at least two CPUs are usable and the cells'
+    SGD steps exceed WORKER_MIN_STEPS.  The parent runs its own cells while
+    the worker starts; the results come back merged in cell order."""
+    if (len(cfgs) < 2 or _usable_cpus() < 2
+            or sum(run_length(split, c) for c in cfgs) <= WORKER_MIN_STEPS):
+        return unlearn_cells(theta_o, split, cfgs)
+    from .worker import Worker  # not at import: `python -m unlbench.worker` imports this module
+    out = list(cfgs)
+    with Worker(theta_o, split, cfgs[1::2]) as worker:
+        out[0::2] = unlearn_cells(theta_o, split, cfgs[0::2])
+        out[1::2] = worker.results()
+    return out
+
+
 def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                    ctx: ScenarioContext | None = None):
     """Representation quality under increasing gradient noise.
@@ -573,7 +620,8 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     noise level, NaN where the run diverged, its input was degenerate or
     the model's features were not finite;
     the CSV's trailing status column is "ok" or "ExceptionName: message".
-    sigma 0 reproduces the noiseless run bit-exactly.
+    sigma 0 reproduces the noiseless run bit-exactly.  The cells train
+    together (sweep_cells), and this process scores every one.
     """
     m_idx, mcfg = _find_method(cfg, method)
     if ctx is None:
@@ -581,13 +629,14 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
     ref = ctx.references[name]
     seed = _method_seed(cfg.master_seed, m_idx, 0)
+    cfgs = [replace(mcfg, base=replace(mcfg.base, seed=seed, grad_noise_sigma=float(sigma)))
+            for sigma in sigma_grid]
     rows, statuses = [], []
-    for sigma in sigma_grid:
-        run_cfg = replace(mcfg, base=replace(mcfg.base, seed=seed,
-                                             grad_noise_sigma=float(sigma)))
+    for sigma, result in zip(sigma_grid, sweep_cells(ctx.theta_o, ctx.split, cfgs)):
         try:
-            result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-            knn, side, _ = _representation(result.params, ctx.downstreams[name],
+            if isinstance(result, Exception):
+                raise result
+            knn, side, _ = _representation(ctx.features(result.params, name),
                                            ref.probe_idx, ref.knn_split)
             rows.append((float(sigma), knn, compute_cka(side, ref.cka_r),
                          compute_cka(side, ref.cka_o)))

@@ -13,21 +13,27 @@ an update is a few whole-vector in-place ufunc calls.  Each element sees
 the same IEEE operations in the same order as a block-by-block update, so
 the bits do not depend on the layout.
 
-A run with grad_noise_sigma > 0 that lasts more than NOISE_CHUNK_STEPS
-steps uses a second thread: a NoiseFeed draws the run's noise stream
-ahead, a chunk of steps at a time, while the training thread computes
-gradients.  The training thread takes the steps' vectors in stream order,
-so the bits do not depend on the thread either.  A noise-free run, a
-shorter one, or one whose length the caller does not give starts no
-thread.
+sgd_lockstep steps a list of runs together, one update each per round in
+list order; sgd_loop is its one-run call.  A run with grad_noise_sigma > 0
+adds sigma times a stream of unit normals to each step's gradient, and
+the runs of one call that share a stream (same seed, same flat size) read
+one NoiseFeed, so the stream is drawn once for all of them.  A feed that
+lasts more than NOISE_CHUNK_STEPS steps uses a second thread: it draws
+the stream ahead, a chunk of steps at a time, while the training thread
+computes gradients.  Every run takes its rows in stream order and scales
+them itself, so the bits depend neither on the thread nor on which runs
+step beside it.  A noise-free call, a shorter one, or one whose length
+the caller does not give starts no thread.
 """
 
 import hashlib
 import json
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,16 +104,18 @@ class TrainConfig(ConfigDict):
 
     def __post_init__(self):
         # lr 0 is legal and must leave parameters untouched (sweep contract).
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        # Written so that NaN fails too.
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.grad_noise_sigma < 0:
-            raise ConfigError("grad_noise_sigma must be >= 0")
+        if not 0 <= self.grad_noise_sigma < math.inf:
+            raise ConfigError(f"grad_noise_sigma must be finite and >= 0, "
+                              f"got {self.grad_noise_sigma}")
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -259,31 +267,30 @@ def _views(flat: np.ndarray, like: MlpParams) -> dict:
 
 
 class NoiseFeed:
-    """One SGD run's gradient noise: sigma times the run's normals, one
-    vector of `size` per step, in stream order.
+    """The unit normals of one gradient-noise stream, one vector of `size`
+    per step, in stream order.
 
-    A run that gives its length `steps` and lasts more than one chunk has
-    its noise drawn ahead by one helper thread, started by the first
+    A feed that is given its length `steps` and lasts more than one chunk
+    has its rows drawn ahead by one helper thread, started by the first
     next(): chunks of up to NOISE_CHUNK_STEPS rows in two buffers, never
-    past `steps`.  Any other run, and any step past `steps`, draws on the
+    past `steps`.  Any other feed, and any step past `steps`, draws on the
     calling thread.  Each chunk is filled only after the one before it,
     so the rows are the successive standard_normal(size) draws either way
     and the bits do not depend on the thread.  A failed fill re-raises in
     next(); close() drops the fills not begun and joins the helper.
     """
 
-    def __init__(self, rng: np.random.Generator, size: int, sigma: float,
-                 steps: int | None = None):
-        self._rng, self._sigma = rng, sigma
+    def __init__(self, rng: np.random.Generator, size: int, steps: int | None = None):
+        self._rng = rng
         self._ahead = steps if steps is not None and steps > NOISE_CHUNK_STEPS else 0
         self._pool = None
         self._fills = deque()  # futures of the drawn-ahead chunks, in order
         self._one = np.empty((1, size))
         self._chunk, self._row = self._one, 1
+        self._taken = 0  # rows next() has handed out
 
     def _draw(self, chunk: np.ndarray) -> np.ndarray:
         self._rng.standard_normal(out=chunk)
-        np.multiply(chunk, self._sigma, out=chunk)
         return chunk
 
     def _submit(self, buf: np.ndarray) -> None:
@@ -293,7 +300,7 @@ class NoiseFeed:
             self._fills.append(self._pool.submit(self._draw, buf[:rows]))
 
     def next(self) -> np.ndarray:
-        """The next step's noise vector; valid until the following call."""
+        """The next step's row; valid until the following call."""
         if self._row == len(self._chunk):
             if self._pool is None and self._ahead:
                 self._pool = ThreadPoolExecutor(1, thread_name_prefix="unlbench-noise")
@@ -302,9 +309,20 @@ class NoiseFeed:
             elif self._chunk is not self._one:
                 self._submit(self._chunk)  # every row read: refill it
             # Drawn here only once every fill is taken, so the helper is idle.
-            self._chunk =self._fills.popleft().result() if self._fills else self._draw(self._one)
+            self._chunk = self._fills.popleft().result() if self._fills else self._draw(self._one)
             self._row = 0
         self._row += 1
+        self._taken += 1
+        return self._chunk[self._row - 1]
+
+    def row(self, step: int) -> np.ndarray:
+        """Row `step` of the stream for a run at that step: runs in
+        lockstep all ask for one step per round, and the first to ask
+        draws it."""
+        if step == self._taken:
+            return self.next()
+        if step != self._taken - 1:
+            raise ValueError(f"row {step} asked of a feed at row {self._taken - 1}")
         return self._chunk[self._row - 1]
 
     def close(self) -> None:
@@ -314,7 +332,7 @@ class NoiseFeed:
 
 @dataclass
 class SgdState:
-    """The flat buffers plus the shared shuffle/noise streams of one run.
+    """The flat buffers plus the shuffle and noise streams of one run.
 
     params holds the run's six blocks end to end in BLOCKS order, and the
     working copy's blocks are views of it.  The run trains params[start:]:
@@ -322,9 +340,8 @@ class SgdState:
     never changes.  velocity, scratch and mask (the update mask's trained
     tail or None) are vectors over that tail, so each step is a handful
     of whole-vector in-place ufunc calls on the same tail of the step's
-    gradient vector.  noise is the run's NoiseFeed when grad_noise_sigma
-    > 0, else None.  Used as a context manager, the state stops the
-    feed's helper thread, if one started, on every exit.
+    gradient vector.  noise is the NoiseFeed of the run's stream when
+    grad_noise_sigma > 0, else None.
     """
     params: np.ndarray
     start: int
@@ -337,24 +354,20 @@ class SgdState:
 
     @staticmethod
     def create(params: MlpParams, cfg: TrainConfig, mask: np.ndarray | None = None,
-               steps: int | None = None) -> "SgdState":
+               noise: NoiseFeed | None = None) -> "SgdState":
         """Copy params' blocks into one vector and rebind them to views of it.
 
-        mask, if given, is a 0/1 vector laid out like that one.  steps is
-        the run's length if known.  Only then can a noisy run's feed draw
-        ahead on a helper thread, so a caller that gives it must run the
-        steps in a with block over the state.
+        mask, if given, is a 0/1 vector laid out like that one.  noise is
+        the feed of a noisy run's stream (make_rng(cfg.seed, STREAM_NOISE)
+        over that vector's size), which runs in lockstep share; without
+        it a noisy run gets a feed of its own that draws inline.
         """
         flat = np.concatenate([getattr(params, b).ravel() for b in BLOCKS])
         for b, view in _views(flat, params).items():
             setattr(params, b, view)
         start = flat.size - params.Whead.size - params.bhead.size if cfg.freeze_encoder else 0
-        noise = None
-        if cfg.grad_noise_sigma > 0:
-            # Drawn over the whole vector, so the head's noise does not
-            # depend on freeze_encoder.
-            noise = NoiseFeed(make_rng(cfg.seed, STREAM_NOISE), flat.size,
-                              cfg.grad_noise_sigma, steps)
+        if cfg.grad_noise_sigma > 0 and noise is None:
+            noise = NoiseFeed(make_rng(cfg.seed, STREAM_NOISE), flat.size)
         return SgdState(
             params=flat,
             start=start,
@@ -362,15 +375,8 @@ class SgdState:
             scratch=np.empty(flat.size - start),
             mask=None if mask is None else mask[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
-            noise=noise,
+            noise=noise if cfg.grad_noise_sigma > 0 else None,
         )
-
-    def __enter__(self) -> "SgdState":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.noise is not None:
-            self.noise.close()
 
 
 def apply_sgd_step(grad: np.ndarray, state: SgdState, cfg: TrainConfig,
@@ -380,15 +386,16 @@ def apply_sgd_step(grad: np.ndarray, state: SgdState, cfg: TrainConfig,
     grad is the step's gradient vector, laid out like state.params; the
     update works in its trained tail, so the caller must not read it
     again.  sign=-1 ascends; state.mask zeroes updates.  Per trained
-    element this is g = sign*grad + sigma*noise, v = momentum*v + g, and
-    params -= lr * (g + momentum*v if nesterov else v) * mask, with the
-    noise drawn over all blocks in BLOCKS order.
+    element this is g = sign*grad + sigma*z, v = momentum*v + g, and
+    params -= lr * (g + momentum*v if nesterov else v) * mask, with z the
+    stream's row for this step, drawn over all blocks in BLOCKS order.
     """
     g, v, t = grad[state.start:], state.velocity, state.scratch
     if sign != 1.0:
         np.multiply(g, sign, out=g)
     if state.noise is not None:
-        np.add(g, state.noise.next()[state.start:], out=g)
+        np.multiply(state.noise.row(state.step)[state.start:], cfg.grad_noise_sigma, out=t)
+        np.add(g, t, out=g)
     np.multiply(v, cfg.momentum, out=v)
     np.add(v, g, out=v)
     if cfg.nesterov:
@@ -417,46 +424,108 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
+class SgdRun(NamedTuple):
+    """One SGD run for sgd_lockstep.
+
+    steps(work, state) is a generator over the live working copy that
+    yields (grad, loss, rows, sign) once per update, grad being a gradient
+    vector in BLOCKS order (see backward) that the update consumes; it
+    computes each gradient after the previous update, so every stream
+    draws in a fixed order.  mask is a 0/1 vector over the flat layout
+    (see SgdState.create).  n_steps, the number of updates steps yields,
+    if known, lets a long noisy run draw its noise ahead (see NoiseFeed);
+    the bits do not depend on it.
+    """
+    params: MlpParams
+    cfg: TrainConfig
+    steps: Callable
+    mask: np.ndarray | None = None
+    n_steps: int | None = None
+
+
+def _stream(run: SgdRun) -> tuple:
+    """The noise stream a noisy run reads: its seed and flat size."""
+    return run.cfg.seed, sum(getattr(run.params, b).size for b in BLOCKS)
+
+
+def sgd_lockstep(runs: list) -> list:
+    """The SGD driver every training and unlearning run goes through.
+
+    Steps the runs together, one update each per round, in list order.
+    Each run's working copy's blocks are views of one flat vector
+    (SgdState), so each update runs on whole vectors.  The noisy runs of
+    one stream read one NoiseFeed, told the longest known length among
+    them; it is stopped and joined on every exit.  A run that raises, or
+    whose loss or parameters go non-finite (DivergenceError with the step
+    index), stops alone.  Returns, in run order, each run's (params,
+    sample_visits), the params sharing no memory with its input, or the
+    exception that stopped it.
+    """
+    lengths = {}
+    for run in runs:
+        if run.cfg.epochs > 0 and run.cfg.grad_noise_sigma > 0:
+            known = lengths.get(_stream(run), 0)
+            lengths[_stream(run)] = (None if known is None or run.n_steps is None
+                                     else max(known, run.n_steps))
+    feeds = {key: NoiseFeed(make_rng(key[0], STREAM_NOISE), key[1], steps)
+             for key, steps in lengths.items()}
+    out, live = [None] * len(runs), []  # live: [index, work, state, steps, visits]
+    try:
+        for i, run in enumerate(runs):
+            work = run.params.copy()
+            if run.cfg.epochs == 0:
+                out[i] = (work, 0)
+                continue
+            state = SgdState.create(work, run.cfg, run.mask, feeds.get(_stream(run)))
+            live.append([i, work, state, run.steps(work, state), 0])
+        while live:
+            for entry in live:
+                i, work, state, steps, visits = entry
+                try:
+                    step = next(steps, None)
+                    if step is None:
+                        check_finite(work, state.step)
+                        out[i] = (work, visits)
+                        continue
+                    grad, loss, rows, sign = step
+                    if not np.isfinite(loss):
+                        raise DivergenceError(state.step)
+                    apply_sgd_step(grad, state, runs[i].cfg, sign=sign)
+                    entry[4] = visits + rows
+                except Exception as exc:  # this run stops; the others go on
+                    steps.close()
+                    out[i] = exc
+            live = [entry for entry in live if out[entry[0]] is None]
+    finally:
+        for entry in live:
+            entry[3].close()
+        for feed in feeds.values():
+            feed.close()
+    return out
+
+
 def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None = None,
              n_steps: int | None = None) -> tuple:
-    """The SGD driver every training and unlearning loop runs on.
-
-    steps(work, state) is a generator over the live working copy that yields
-    (grad, loss, rows, sign) once per update, grad being a gradient vector
-    in BLOCKS order (see backward) that the update consumes; it computes
-    each gradient after the previous update, so every stream draws in a
-    fixed order.  The working copy's blocks are views of one flat vector
-    (SgdState), so each update runs on whole vectors; mask is a 0/1 vector
-    over that flat layout (see SgdState.create).
-    n_steps, the number of updates steps yields, lets a long noisy run
-    draw its noise ahead on a helper thread (see NoiseFeed), which is
-    stopped and joined on every exit; the bits do not depend on it.
-    Returns (params, sample_visits); the params share no memory with the
-    input.  Raises DivergenceError with the step index at the first
-    non-finite loss or parameter.
-    """
-    work = params.copy()
-    if cfg.epochs == 0:
-        return work, 0
-    visits = 0
-    with SgdState.create(work, cfg, mask, n_steps) as state:
-        for grad, loss, rows, sign in steps(work, state):
-            if not np.isfinite(loss):
-                raise DivergenceError(state.step)
-            apply_sgd_step(grad, state, cfg, sign=sign)
-            visits += rows
-    check_finite(work, state.step)
-    return work, visits
+    """sgd_lockstep's one-run call, on the fields of an SgdRun: returns
+    (params, sample_visits), or raises what stopped the run."""
+    result, = sgd_lockstep([SgdRun(params, cfg, steps, mask, n_steps)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def sgd_epochs(params: MlpParams, cfg: TrainConfig, n: int, step,
-               mask: np.ndarray | None = None) -> tuple:
-    """sgd_loop over cfg.epochs shuffled passes of epoch_batches over n rows.
+def epoch_steps(n: int, cfg: TrainConfig) -> int:
+    """The length of a run of cfg.epochs passes of epoch_batches over n rows."""
+    return cfg.epochs * -(-n // cfg.batch_size)
+
+
+def epochs_run(params: MlpParams, cfg: TrainConfig, n: int, step,
+               mask: np.ndarray | None = None) -> SgdRun:
+    """The SgdRun of cfg.epochs shuffled passes of epoch_batches over n rows.
 
     step(work, epoch, idx) returns one update's (grad, loss, rows, sign)
-    for the batch of row indices idx.  The run's length, epochs *
-    ceil(n / batch_size) steps, is worked out here.  Raises
-    DegenerateInputError when n is 0.
+    for the batch of row indices idx.  Raises DegenerateInputError when n
+    is 0.
     """
     if n == 0:
         raise DegenerateInputError("training needs a nonempty dataset")
@@ -465,18 +534,17 @@ def sgd_epochs(params: MlpParams, cfg: TrainConfig, n: int, step,
         for epoch in range(cfg.epochs):
             for idx in epoch_batches(n, cfg.batch_size, state.shuffle_rng):
                 yield step(work, epoch, idx)
-    return sgd_loop(params, cfg, steps, mask, n_steps=cfg.epochs * -(-n // cfg.batch_size))
+    return SgdRun(params, cfg, steps, mask, epoch_steps(n, cfg))
 
 
-def sgd_cross_entropy(params: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
-                      sign: float = 1.0, mask: np.ndarray | None = None) -> tuple:
-    """Minibatch cross-entropy SGD over shuffled epochs of x (sgd_epochs);
-    labels_for_epoch(epoch) supplies the targets.  Returns (params,
-    sample_visits)."""
+def cross_entropy_run(params: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,
+                      sign: float = 1.0, mask: np.ndarray | None = None) -> SgdRun:
+    """The SgdRun of minibatch cross-entropy SGD over shuffled epochs of x
+    (epochs_run); labels_for_epoch(epoch) supplies the targets."""
     def step(work, epoch, idx):
         grad, loss = cross_entropy_gradient(work, x[idx], labels_for_epoch(epoch)[idx])
         return grad, loss, idx.size, sign
-    return sgd_epochs(params, cfg, x.shape[0], step, mask)
+    return epochs_run(params, cfg, x.shape[0], step, mask)
 
 
 def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParams:
@@ -486,8 +554,7 @@ def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParam
     on an empty dataset, and DivergenceError with the step index if the
     loss goes non-finite.
     """
-    work, _ = sgd_cross_entropy(params, dataset.X, lambda _: dataset.y, cfg)
-    return work
+    return sgd_loop(*cross_entropy_run(params, dataset.X, lambda _: dataset.y, cfg))[0]
 
 
 def accuracy(logits: np.ndarray, dataset: Dataset) -> float:

@@ -5,10 +5,12 @@ Loading is strict: an unknown key, a missing required key or a value of the
 wrong JSON type raises ConfigError naming its path (``train.epoch``,
 ``methods[0].bse``), so a typo fails at load instead of being ignored.
 Values are kept as given (an integer in a float field stays an integer), so
-a config echoes back unchanged.
+a config echoes back unchanged.  Python's json reads NaN and Infinity as
+floats; a number field rejects them.
 """
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -37,6 +39,8 @@ def _load(tp, value, path: str = ""):
         return _load(next(a for a in args if a is not type(None)), value, path)
     if isinstance(value, bool) is not (tp is bool) or not isinstance(value, _SCALARS[tp]):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     return value
 
 

@@ -5,8 +5,15 @@ Every method is a deterministic function of (parameters, split, config).
 Four methods touch only the forget set (GA, RL, PL, SalUn); the rest also
 consume retain data.  Each run reports the number of training-sample visits
 so runtime cost can be compared without wall-clock noise.
+
+Each procedure makes exactly one SGD run.  It is written as a generator
+that yields that run (a model.SgdRun), is sent back its (params, visits)
+and returns its UnlearnResult, so that unlearn_cells can step the runs of
+many cells together (model.sgd_lockstep).  The public unlearn_* functions
+and run_unlearning run one cell by itself.
 """
 
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
@@ -19,19 +26,23 @@ from .model import (
     DEFAULT_FEAT,
     DEFAULT_HIDDEN,
     MlpParams,
+    SgdRun,
     TrainConfig,
     backward,
     cross_entropy_grad_logits,
     cross_entropy_gradient,
+    cross_entropy_run,
+    epoch_steps,
+    epochs_run,
     forward,
     init_params,
     log_softmax,
-    sgd_cross_entropy,
-    sgd_epochs,
-    sgd_loop,
-    sgd_train,
+    sgd_lockstep,
     _forward_cache,
 )
+# sgd_train is imported only because perfbench/tracer.py hooks it under
+# this name; every run here goes through sgd_lockstep.
+from .model import sgd_train  # noqa: F401
 from .rng import make_rng
 from .serial import ConfigDict
 
@@ -142,6 +153,49 @@ def compute_shared_covariance(params: MlpParams, dataset: Dataset, classes,
     return cents
 
 
+def _alone(procedure):
+    """procedure, which returns a cell's generator (see the module
+    docstring), as a plain call that runs that one cell by itself; the
+    procedure stays reachable as .cell."""
+    @functools.wraps(procedure)
+    def call(*args):
+        return _solo(procedure(*args))
+    call.cell = procedure
+    return call
+
+
+def _run_cells(cells: list) -> list:
+    """Start each procedure generator, step all their runs together, and
+    send each its run's outcome.  Returns each cell's UnlearnResult, or
+    the exception that stopped it, in order."""
+    out, runs, started = [None] * len(cells), [], []
+    for i, cell in enumerate(cells):
+        try:
+            runs.append(next(cell))
+            started.append(i)
+        except Exception as exc:  # a cell that fails before its run stops alone
+            out[i] = exc
+    for i, outcome in zip(started, sgd_lockstep(runs)):
+        if isinstance(outcome, Exception):
+            cells[i].close()
+            out[i] = outcome
+            continue
+        try:
+            cells[i].send(outcome)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as exc:
+            out[i] = exc
+    return out
+
+
+def _solo(cell):
+    result, = _run_cells([cell])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class _BatchCycler:
     """Endless deterministic batches over n rows; reshuffles on exhaustion."""
 
@@ -160,15 +214,18 @@ class _BatchCycler:
         return out
 
 
+@_alone
 def unlearn_ft(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Fine-tune on the retain set only; forgetting happens by drift."""
-    params = sgd_train(theta_o, dr, cfg.base)
+    params, _ = yield cross_entropy_run(theta_o, dr.X, lambda _: dr.y, cfg.base)
     return UnlearnResult(params, cfg.base.epochs * dr.n)
 
 
+@_alone
 def unlearn_ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Gradient ascent on the forget set's cross-entropy."""
-    params, visits = sgd_cross_entropy(theta_o, df.X, lambda _: df.y, cfg.base, sign=-1.0)
+    params, visits = yield cross_entropy_run(theta_o, df.X, lambda _: df.y, cfg.base,
+                                             sign=-1.0)
     return UnlearnResult(params, visits)
 
 
@@ -178,18 +235,19 @@ def _random_relabel(y: np.ndarray, num_classes: int, rng: np.random.Generator) -
     return np.where(draw >= y, draw + 1, draw)
 
 
-def _rl_loop(theta_o, df, cfg: UnlearnConfig, mask=None) -> tuple:
+def _rl_run(theta_o, df, cfg: UnlearnConfig, mask=None) -> SgdRun:
     """RL's run; every epoch's relabels are drawn up front, from a stream
     that no other draw shares."""
     rel_rng = make_rng(cfg.base.seed, STREAM_RELABEL)
     relabels = [_random_relabel(df.y, theta_o.num_classes, rel_rng)
                 for _ in range(cfg.base.epochs)]
-    return sgd_cross_entropy(theta_o, df.X, relabels.__getitem__, cfg.base, mask=mask)
+    return cross_entropy_run(theta_o, df.X, relabels.__getitem__, cfg.base, mask=mask)
 
 
+@_alone
 def unlearn_rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Relabel each forget sample with a random different class each epoch."""
-    params, visits = _rl_loop(theta_o, df, cfg)
+    params, visits = yield _rl_run(theta_o, df, cfg)
     return UnlearnResult(params, visits)
 
 
@@ -204,13 +262,14 @@ def pseudo_labels(theta_o: MlpParams, x: np.ndarray, forget_classes) -> np.ndarr
     return np.argmax(masked, axis=1)
 
 
+@_alone
 def unlearn_pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Train forget samples toward theta_o's best non-forget prediction.
 
     Pseudo-labels are computed once, before any parameter update.
     """
     targets = pseudo_labels(theta_o, df.X, np.unique(df.y))
-    params, visits = sgd_cross_entropy(theta_o, df.X, lambda _: targets, cfg.base)
+    params, visits = yield cross_entropy_run(theta_o, df.X, lambda _: targets, cfg.base)
     return UnlearnResult(params, visits)
 
 
@@ -235,24 +294,25 @@ def saliency_mask(theta_o: MlpParams, df: Dataset, fraction: float) -> np.ndarra
     return top_fraction_mask(np.abs(grad), fraction)
 
 
+@_alone
 def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Random labeling restricted to the salient parameter subset."""
     mask = saliency_mask(theta_o, df, cfg.saliency_fraction)
-    params, visits = _rl_loop(theta_o, df, cfg, mask=mask)
+    params, visits = yield _rl_run(theta_o, df, cfg, mask=mask)
     return UnlearnResult(params, visits, {"masked_parameters": int(mask.sum())})
 
 
-def _two_set_loop(theta_o: MlpParams, df: Dataset, dr: Dataset, cfg: TrainConfig,
-                  step_fn) -> tuple:
-    """sgd_epochs over shuffled forget batches, each paired with retain
+def _two_set_run(theta_o: MlpParams, df: Dataset, dr: Dataset, cfg: TrainConfig,
+                 step_fn) -> SgdRun:
+    """epochs_run over shuffled forget batches, each paired with retain
     rows: step_fn(work, f_idx, retain) draws its own retain batch from the
-    endless retain cycler and returns (grad, loss, retain_rows)."""
+    run's endless retain cycler and returns (grad, loss, retain_rows)."""
     retain = _BatchCycler(dr.n, cfg.batch_size, make_rng(cfg.seed, STREAM_RETAIN))
 
     def step(work, _epoch, f_idx):
         grad, loss, r_rows = step_fn(work, f_idx, retain)
         return grad, loss, f_idx.size + r_rows, 1.0
-    return sgd_epochs(theta_o, cfg, df.n, step)
+    return epochs_run(theta_o, cfg, df.n, step)
 
 
 def nearest_centroids(feats: np.ndarray, centroids: Centroids) -> tuple:
@@ -287,7 +347,7 @@ def _realignment_step(work, x_f, dr, r_idx, centroids, cfg):
     return backward(work, cache_f, d_feats=d_feats) + w * grad_r, loss_f + w * loss_r
 
 
-def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) -> UnlearnResult:
+def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids):
     """DUCK and SCAR: realign forget features onto frozen retain centroids
     built by build_centroids(theta_o, dr, classes)."""
     if df.n == 0 or dr.n == 0:
@@ -299,10 +359,11 @@ def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids) ->
         grad, loss = _realignment_step(work, df.X[f_idx], dr, r_idx, centroids, cfg)
         return grad, loss, r_idx.size
 
-    params, visits = _two_set_loop(theta_o, df, dr, cfg.base, step)
+    params, visits = yield _two_set_run(theta_o, df, dr, cfg.base, step)
     return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
 
 
+@_alone
 def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
                  cfg: UnlearnConfig) -> UnlearnResult:
     """Push forget features onto the nearest retained-class centroid.
@@ -313,6 +374,7 @@ def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
     return _realign(theta_o, df, dr, cfg, "DUCK", compute_centroids)
 
 
+@_alone
 def unlearn_scar(theta_o: MlpParams, df: Dataset, dr: Dataset,
                  cfg: UnlearnConfig) -> UnlearnResult:
     """DUCK's realignment with squared Mahalanobis distance under the shared
@@ -365,6 +427,7 @@ def contrastive_loss_grad(feats_a: np.ndarray, labels_a: np.ndarray,
     return loss, d_a, d_r, kept
 
 
+@_alone
 def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
                cfg: UnlearnConfig) -> UnlearnResult:
     """Contrastive decoupling of forget anchors from the retain embedding,
@@ -396,7 +459,7 @@ def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 + backward(work, cache_r, d_logits=w * d_logits_r, d_feats=d_r))
         return grad, loss_c + w * loss_r, r_idx.size
 
-    params, visits = _two_set_loop(theta_o, df, dr, cfg.base, step)
+    params, visits = yield _two_set_run(theta_o, df, dr, cfg.base, step)
     if skipped:
         log.info("CU skipped %d anchors lacking positives", skipped)
     return UnlearnResult(params, visits, {"skipped_anchors": skipped})
@@ -425,6 +488,11 @@ def kl_teacher_student(teacher_pair: tuple, student_logits: np.ndarray,
     return kl, d_student
 
 
+def _scrub_steps(cfg: UnlearnConfig) -> int:
+    return cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
+
+
+@_alone
 def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                   cfg: UnlearnConfig) -> UnlearnResult:
     """Teacher-student distillation: ascend the forget-set KL to the frozen
@@ -457,40 +525,60 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
                 yield backward(work, cache, d_logits=d_kl + d_ce), kl + ce, idx.size, 1.0
 
-    n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
-    params, visits = sgd_loop(theta_o, cfg.base, steps, n_steps=n_steps)
+    params, visits = yield SgdRun(theta_o, cfg.base, steps, n_steps=_scrub_steps(cfg))
     return UnlearnResult(params, visits)
 
 
+@_alone
 def retrain_gold(dr: Dataset, base_cfg: TrainConfig, hidden: int = DEFAULT_HIDDEN,
                  feat_dim: int = DEFAULT_FEAT) -> UnlearnResult:
     """Train from a fresh seeded initialization on the retain set only."""
     params = init_params(dr.X.shape[1], dr.num_classes, base_cfg.seed, hidden, feat_dim)
-    params = sgd_train(params, dr, base_cfg)
+    params, _ = yield cross_entropy_run(params, dr.X, lambda _: dr.y, base_cfg)
     return UnlearnResult(params, base_cfg.epochs * dr.n)
 
 
-def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
-    return retrain_gold(dr, cfg.base, hidden=theta_o.W1.shape[1], feat_dim=theta_o.feat_dim)
+def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig):
+    return retrain_gold.cell(dr, cfg.base, theta_o.W1.shape[1], theta_o.feat_dim)
 
 
-# Each method's procedure and the split sets it takes after theta_o.
+# Each method's procedure generator and the split sets it takes after
+# theta_o; the first set's batches make the run's steps, except SCRUB's.
 _PROCEDURES = {
-    "FT": (unlearn_ft, ("Dr",)),
-    "GA": (unlearn_ga, ("Df",)),
-    "RL": (unlearn_rl, ("Df",)),
-    "PL": (unlearn_pl, ("Df",)),
-    "SalUn": (unlearn_salun, ("Df",)),
-    "DUCK": (unlearn_duck, ("Df", "Dr")),
-    "CU": (unlearn_cu, ("Df", "Dr")),
-    "SCRUB": (unlearn_scrub, ("Df", "Dr")),
-    "SCAR": (unlearn_scar, ("Df", "Dr")),
+    "FT": (unlearn_ft.cell, ("Dr",)),
+    "GA": (unlearn_ga.cell, ("Df",)),
+    "RL": (unlearn_rl.cell, ("Df",)),
+    "PL": (unlearn_pl.cell, ("Df",)),
+    "SalUn": (unlearn_salun.cell, ("Df",)),
+    "DUCK": (unlearn_duck.cell, ("Df", "Dr")),
+    "CU": (unlearn_cu.cell, ("Df", "Dr")),
+    "SCRUB": (unlearn_scrub.cell, ("Df", "Dr")),
+    "SCAR": (unlearn_scar.cell, ("Df", "Dr")),
     "RETRAIN": (_retrain, ("Dr",)),
 }
 
 
-def run_unlearning(theta_o: MlpParams, split: ForgetSplit,
-                   cfg: UnlearnConfig) -> UnlearnResult:
-    """Dispatch a method over a forget split."""
+def run_length(split: ForgetSplit, cfg: UnlearnConfig) -> int:
+    """The number of SGD updates cfg's run over split makes."""
+    if cfg.method == "SCRUB":
+        return _scrub_steps(cfg)
+    return epoch_steps(getattr(split, _PROCEDURES[cfg.method][1][0]).n, cfg.base)
+
+
+def _cell(theta_o: MlpParams, split: ForgetSplit, cfg: UnlearnConfig):
     procedure, sets = _PROCEDURES[cfg.method]
     return procedure(theta_o, *(getattr(split, s) for s in sets), cfg)
+
+
+def unlearn_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
+    """One unlearning run per config over one split, all stepped together
+    (model.sgd_lockstep), each with the bits it has when run alone.
+    Returns each cell's UnlearnResult, or the exception that stopped it,
+    in config order."""
+    return _run_cells([_cell(theta_o, split, cfg) for cfg in cfgs])
+
+
+def run_unlearning(theta_o: MlpParams, split: ForgetSplit,
+                   cfg: UnlearnConfig) -> UnlearnResult:
+    """Dispatch a method over a forget split: unlearn_cells' one-cell call."""
+    return _solo(_cell(theta_o, split, cfg))

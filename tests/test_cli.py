@@ -211,6 +211,8 @@ class TestExitCodes:
         ("data", "per_class_train", 0),  # an empty train set
         ("data", "per_class_test", 0),   # an empty test set
         ("data", "per_class_train", -1),
+        # json reads NaN; an lr of NaN would only diverge once training ran.
+        ("train", "lr", float("nan")),
     ])
     def test_bad_run_config_is_config_error(self, workspace, tmp_path, capsys,
                                             block, key, value):
@@ -245,16 +247,38 @@ class TestExitCodes:
     @pytest.mark.parametrize("block, message", [
         ({"method": "PL", "lr_grids": [0.5], "epoch_grid": [1]}, "sweep.lr_grids"),
         (["PL"], "sweep: expected an object"),
+        # Each of these used to surface only after theta_o and theta_r had
+        # trained, or to pass: an empty grid wrote a header-only CSV.
+        ({"method": "PL", "sigma_grid": []}, "sweep.sigma_grid must not be empty"),
+        ({"method": "PL", "lr_grid": []}, "sweep.lr_grid must not be empty"),
+        ({"method": "PL", "epoch_grid": []}, "sweep.epoch_grid must not be empty"),
+        ({"method": "PL", "sigma_grid": [0.0, -0.1]}, "sweep.sigma_grid: values must be"),
+        ({"method": "PL", "lr_grid": [0.1, -0.1]}, "sweep.lr_grid: values must be"),
+        ({"method": "PL", "epoch_grid": [-1]}, "sweep.epoch_grid: values must be"),
     ])
+    @pytest.mark.parametrize("kind", ["lr-epochs", "dp-noise"])
     def test_bad_sweep_block_is_config_error(self, workspace, tmp_path, capsys,
-                                             block, message):
+                                             block, message, kind):
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["sweep"] = block
         bad = tmp_path / "sweep.json"
         bad.write_text(json.dumps(cfg))
-        assert main(["sweep", "--config", str(bad), "--kind", "lr-epochs",
+        assert main(["sweep", "--config", str(bad), "--kind", kind,
                      "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sigma_is_config_error(self, workspace, tmp_path, capsys, value):
+        # json reads NaN and Infinity; a NaN sigma used to train as sigma 0
+        # and write an "ok" row, because NaN > 0 is false.
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["sweep"] = {"method": "PL", "sigma_grid": [0.0, value]}
+        bad = tmp_path / "sweep.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(bad), "--kind", "dp-noise",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "sweep.sigma_grid[1]: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("probe_rows", ["2", "0", "-1"])

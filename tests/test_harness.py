@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unlbench import harness, metrics, unlearning
-from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe
-from unlbench.errors import BoundsError, DivergenceError
+from unlbench import harness, metrics, model, unlearning, worker
+from unlbench.cli import SweepSpec
+from unlbench.data import Dataset, DownstreamSpec, ForgetSplit, SyntheticSpec, generate_universe
+from unlbench.errors import BoundsError, DivergenceError, WorkerError
 from unlbench.harness import (
     ExperimentConfig,
     ScenarioSpec,
@@ -26,7 +27,7 @@ from unlbench.harness import (
 )
 from unlbench.model import TrainConfig, forward, init_params, sgd_train, softmax
 from unlbench.rng import make_rng
-from unlbench.unlearning import UnlearnConfig, run_unlearning
+from unlbench.unlearning import UnlearnConfig, run_length, run_unlearning, unlearn_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -118,8 +119,9 @@ class TestSelectTopClasses:
 
 class TestRunScenario:
     def test_reference_models_forward_once_per_downstream_set(self, monkeypatch):
-        """theta_o and theta_r are scored like every other model: one forward
-        over each whole downstream set, the probe features sliced from it."""
+        """theta_o and theta_r are forwarded once over each whole downstream
+        set, for their references, and scoring their own rows reuses those
+        features, the probe features sliced from them."""
         calls = []
 
         def recording(params, x):
@@ -132,12 +134,17 @@ class TestRunScenario:
             DownstreamSpec("d", 3, (2, 5), 0.9, per_class=18),
             DownstreamSpec("e", 2, (1,), 0.9, per_class=20),
         ))
-        ctx = build_scenario(replace(base, data=data))
+        cfg = replace(base, data=data)
+        ctx = build_scenario(cfg)
         sizes = [ds.n for ds in ctx.downstreams.values()]
         assert sizes == [54, 40] and base.probe_rows < min(sizes)
+        assert len(calls) == 2 * len(sizes)
+        reports, _ = run_scenario(cfg, emit=False, ctx=ctx)
+        assert [r.method for r in reports] == ["original", "retrained", "PL", "FT"]
         for theta in (ctx.theta_o, ctx.theta_r):
             assert [n for p, n in calls if p is theta] == sizes
-        assert len(calls) == 2 * len(sizes)
+        # One forward per downstream set for each of the two methods' models.
+        assert len(calls) == 4 * len(sizes)
 
     def test_each_split_set_forwarded_once_per_scored_model(self, monkeypatch):
         """The four accuracies and the MIA's confidences come from one
@@ -371,9 +378,11 @@ class TestSweeps:
         ctx = build_scenario(cfg)
 
         def run(raise_exc):
-            def fail(*_args):
+            # Raised inside the cell's procedure, which a sweep cell reaches
+            # through unlearning's cells, not through harness.run_unlearning.
+            def fail(*_args, **_kwargs):
                 raise raise_exc
-            monkeypatch.setattr(harness, "run_unlearning", fail)
+            monkeypatch.setattr(unlearning, "cross_entropy_run", fail)
             if sweep == "lr-epochs":
                 return sweep_hyperparameters(cfg, "PL", [0.1], [1], ctx=ctx)[0][0]
             return sweep_dp_noise(cfg, "PL", [0.0], ctx=ctx)[0][0][1:]
@@ -427,6 +436,126 @@ class TestSweeps:
         from unlbench.errors import ConfigError
         with pytest.raises(ConfigError):
             sweep_hyperparameters(cfg, "SCRUB", [0.1], [1])
+
+
+class _InProcessWorker:
+    """Worker's interface, running its cells in this process."""
+
+    def __init__(self, theta_o, split, cfgs):
+        self.args = (theta_o, split, cfgs)
+
+    def results(self):
+        return unlearn_cells(*self.args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+class _RecordingWorker(worker.Worker):
+    started = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.started.append(self)
+
+
+@pytest.fixture
+def with_worker(monkeypatch):
+    """Every sweep with two or more cells takes a worker."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "WORKER_MIN_STEPS", 0)
+
+
+class TestSweepCells:
+    def test_large_top_dp_shaped_sweep_draws_the_noise_once_per_process(
+            self, monkeypatch, with_worker):
+        # large-top-dp's sweep on a small model: FT's preset, 10 epochs of
+        # 64-row batches over an 8 750-row retain set (1 370 steps), and
+        # the seven default sigmas, six of them noisy.
+        rng = make_rng(5, 0)
+
+        def dataset(n):
+            return Dataset(rng.standard_normal((n, 4)), rng.integers(0, 40, n), 40)
+        split = ForgetSplit((0,), tuple(range(1, 40)), dataset(8), dataset(8750),
+                            dataset(8), dataset(8))
+        ft = default_method_config("FT")
+        cfgs = [replace(ft, base=replace(ft.base, seed=9, grad_noise_sigma=s))
+                for s in SweepSpec().sigma_grid]
+        assert [run_length(split, c) for c in cfgs] == [1370] * 7
+        drawn = []
+        draw = model.NoiseFeed._draw
+
+        def counting(feed, chunk):
+            drawn.append(len(chunk))
+            return draw(feed, chunk)
+        monkeypatch.setattr(model.NoiseFeed, "_draw", counting)
+        monkeypatch.setattr(worker, "Worker", _InProcessWorker)
+        theta_o = init_params(4, 40, 1, hidden=4, feat_dim=4)
+        cells = harness.sweep_cells(theta_o, split, cfgs)
+        assert sum(drawn) == 2740  # one stream in each of the two processes
+        drawn.clear()
+        solo = [run_unlearning(theta_o, split, c) for c in cfgs]
+        assert sum(drawn) == 8220  # one stream per noisy cell
+        assert [c.params.content_hash() for c in cells] == [
+            c.params.content_hash() for c in solo]
+
+    def test_worker_gives_the_in_process_sweep(self, monkeypatch):
+        cfg = mini_config()
+        ctx = build_scenario(cfg)
+        want = sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "WORKER_MIN_STEPS", 0)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        assert sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx) == want
+        [started] = _RecordingWorker.started
+        assert started._proc.returncode == 0
+
+    @pytest.mark.parametrize("cpus, min_steps", [(1, 0), (2, 10**9)])
+    def test_no_worker_without_a_second_cpu_or_enough_steps(self, monkeypatch, cpus,
+                                                            min_steps):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "WORKER_MIN_STEPS", min_steps)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        cfg = mini_config()
+        rows, _ = sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=build_scenario(cfg))
+        assert len(rows) == 2
+
+    # The parent's own half raising a non-cell error: through one of its
+    # cells (re-raised once the results merge), or from the call itself,
+    # while the worker may still run.
+    @pytest.mark.parametrize("target", ["cell", "call"])
+    def test_worker_reaped_when_the_parent_half_raises(self, monkeypatch, with_worker,
+                                                       target):
+        cfg = mini_config()
+        ctx = build_scenario(cfg)
+
+        def fail(*_args, **_kwargs):
+            raise TypeError("a bug")
+        module, name = (unlearning, "cross_entropy_run") if target == "cell" else (
+            harness, "unlearn_cells")
+        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        with pytest.raises(TypeError, match="a bug"):
+            sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
+        [started] = _RecordingWorker.started
+        assert started._proc.returncode is not None
+        assert not started._input.is_alive()
+
+    def test_worker_failure_raises_instead_of_nan_cells(self, monkeypatch, with_worker):
+        cfg = mini_config()
+        ctx = build_scenario(cfg)
+
+        def send_garbage(self, _payload):
+            with self._proc.stdin as pipe:
+                pipe.write(b"not a pickle")
+        monkeypatch.setattr(worker.Worker, "_send", send_garbage)
+        with pytest.raises(WorkerError, match="worker exited 1"):
+            sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=ctx)
 
 
 class TestConfigSerialization:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from unlbench.data import Dataset, SyntheticSpec, generate_universe
-from unlbench.errors import DegenerateInputError, DivergenceError, LabelError, ShapeError
+from unlbench.errors import (ConfigError, DegenerateInputError, DivergenceError, LabelError,
+                             ShapeError)
 from unlbench.model import (
     BLOCKS,
     MlpParams,
@@ -141,6 +142,18 @@ class TestGradients:
     def test_bad_label_rejected(self):
         with pytest.raises(LabelError):
             grad_cross_entropy(tiny_params(0), np.ones((1, 5)), np.array([4]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+    ("grad_noise_sigma", float("nan")), ("grad_noise_sigma", float("inf")),
+    ("grad_noise_sigma", -0.1),
+])
+def test_train_config_rejects_non_finite_or_negative_rates(field, value):
+    # NaN passed the old `< 0` checks: an lr of NaN diverged at the first
+    # step, and a sigma of NaN trained as if it were 0.
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
 
 
 class TestSgdTrain:
@@ -277,7 +290,7 @@ class TestFlatSgdStep:
     def _flat(self, cfg, sign, mask, n_steps, length="exact"):
         """The run through sgd_loop, told it lasts `length` steps (n_steps
         by default); returns (params, state, noise), where noise is the
-        vector the feed hands out after the last step (None without
+        row the feed hands out after the last step (None without
         noise)."""
         seen = {}
 
@@ -304,9 +317,8 @@ class TestFlatSgdStep:
             assert state.noise is None and next_noise is None
         else:
             # The feed stands where the oracle's stream stands: its next
-            # vector is sigma times the stream's next n normals.
-            assert np.array_equal(next_noise, cfg.grad_noise_sigma
-                                  * want_noise.standard_normal(state.params.size))
+            # row is the stream's next n normals.
+            assert np.array_equal(next_noise, want_noise.standard_normal(state.params.size))
 
     @pytest.mark.parametrize("sign, knobs, masked", [
         (1.0, {}, False),
@@ -425,12 +437,12 @@ class TestNoiseFeedThreads:
                                        2 * NOISE_CHUNK_STEPS + 5])
     def test_helper_draws_nothing_past_the_run(self, steps):
         rng, oracle = make_rng(9, STREAM_NOISE), make_rng(9, STREAM_NOISE)
-        feed = NoiseFeed(rng, 11, 0.5, steps)
+        feed = NoiseFeed(rng, 11, steps)
         try:
             rows = [feed.next().copy() for _ in range(steps)]
         finally:
             feed.close()
-        assert np.array_equal(np.array(rows), 0.5 * oracle.standard_normal((steps, 11)))
+        assert np.array_equal(np.array(rows), oracle.standard_normal((steps, 11)))
         # The generator stands right after the run's last row.
         assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
 

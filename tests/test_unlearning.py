@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unlbench import unlearning
+from unlbench import model, unlearning
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe, split_random_forget
 from unlbench.errors import ConfigError, DegenerateInputError, DivergenceError
 from unlbench.model import (
@@ -47,6 +47,7 @@ from unlbench.unlearning import (
     unlearn_salun,
     unlearn_scrub,
 )
+from unlbench.worker import Worker
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -485,26 +486,33 @@ class TestMethodInvariants:
         assert not np.array_equal(res.params.Whead, theta_o.Whead)
 
     # A noisy run's helper thread draws noise for exactly the steps the run
-    # is told it lasts, so each run must be told its true length.
+    # is told it lasts, so each run must be told its true length; the
+    # dp-noise sweep sizes its work by run_length without building a run.
     @pytest.mark.parametrize("method", [*METHODS, "sgd_train"])
     def test_each_run_is_told_its_true_length(self, scenario, monkeypatch, method):
         theta_o, split = scenario
-        created = []
-        create = SgdState.create
+        runs, states = [], []
+        lockstep, create = model.sgd_lockstep, SgdState.create
 
-        def spy(params, cfg, mask=None, steps=None):
-            state = create(params, cfg, mask, steps)
-            created.append((steps, state))
-            return state
-        monkeypatch.setattr(SgdState, "create", staticmethod(spy))
+        def spy_lockstep(batch):
+            runs.extend(batch)
+            return lockstep(batch)
+
+        def spy_create(*args):
+            states.append(create(*args))
+            return states[-1]
+        for module in (model, unlearning):
+            monkeypatch.setattr(module, "sgd_lockstep", spy_lockstep)
+        monkeypatch.setattr(SgdState, "create", staticmethod(spy_create))
         cfg = cfg_for("FT" if method == "sgd_train" else method, epochs=3,
                       grad_noise_sigma=0.01)
         if method == "sgd_train":
             sgd_train(theta_o, split.Dr, cfg.base)
         else:
             run_unlearning(theta_o, split, cfg)
-        [(steps, state)] = created
-        assert steps == state.step > 0
+            assert unlearning.run_length(split, cfg) == runs[0].n_steps
+        [run], [state] = runs, states
+        assert run.n_steps == state.step > 0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_deterministic_given_seed(self, scenario, method):
@@ -528,13 +536,20 @@ GOLDEN_VARIANTS = {
 GOLDEN_PATH = Path(__file__).parent / "data" / "method_hashes.json"
 
 
+def _summary(result) -> dict:
+    """A run's UnlearnResult, or the DivergenceError that stopped it, as
+    the golden file records it."""
+    if isinstance(result, DivergenceError):
+        return {"error": "DivergenceError", "step": result.step}
+    return {"hash": result.params.content_hash(), "sample_visits": result.sample_visits,
+            "stats": result.stats}
+
+
 def _outcome(theta_o, split, cfg) -> dict:
     try:
-        res = run_unlearning(theta_o, split, cfg)
+        return _summary(run_unlearning(theta_o, split, cfg))
     except DivergenceError as exc:
-        return {"error": "DivergenceError", "step": exc.step}
-    return {"hash": res.params.content_hash(), "sample_visits": res.sample_visits,
-            "stats": res.stats}
+        return _summary(exc)
 
 
 def method_outcomes(theta_o, split) -> dict:
@@ -560,3 +575,46 @@ class TestGoldenMethodHashes:
     def test_every_method_matches_stored_outcome(self, scenario):
         theta_o, split = scenario
         assert method_outcomes(theta_o, split) == json.loads(GOLDEN_PATH.read_text())
+
+
+class TestLockstepCells:
+    """Cells stepped together, in this process or a worker's, each get the
+    outcome of their solo run.  All cells share one seed, so the noisy ones
+    of every method, whose runs differ in length, read one noise feed."""
+
+    VARIANTS = {**GOLDEN_VARIANTS,
+                "freeze-noise": {"freeze_encoder": True, "grad_noise_sigma": 0.02}}
+
+    def _cells(self) -> dict:
+        cells = {}
+        for method in METHODS:
+            for name, knobs in self.VARIANTS.items():
+                cfg = cfg_for(method, **knobs)
+                if method == "SCRUB":  # as method_outcomes runs it
+                    cfg = replace(cfg, scrub_max_steps_per_epoch=2, scrub_min_steps_per_epoch=3)
+                cells[f"{method}/{name}"] = cfg
+        return cells
+
+    @pytest.mark.parametrize("where", ["in-process", "worker"])
+    def test_every_method_matches_its_solo_run(self, scenario, where):
+        theta_o, split = scenario
+        cells = self._cells()
+        if where == "in-process":
+            results = unlearning.unlearn_cells(theta_o, split, list(cells.values()))
+        else:
+            with Worker(theta_o, split, list(cells.values())) as worker:
+                results = worker.results()
+        got = {key: _summary(r) for key, r in zip(cells, results)}
+        assert got == {key: _outcome(theta_o, split, cfg) for key, cfg in cells.items()}
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert {k: v for k, v in got.items() if k in golden} == {
+            k: v for k, v in golden.items() if k in got}
+        assert any("error" in v for v in got.values())  # some "diverge" cells do
+
+    def test_a_cell_failing_before_its_run_stops_alone(self, scenario):
+        theta_o, split = scenario
+        empty = replace(split, Df=Dataset(np.empty((0, 16)), np.empty(0, dtype=np.int64), 6))
+        cfgs = [cfg_for("CU"), cfg_for("FT", grad_noise_sigma=0.05)]
+        failed, ft = unlearning.unlearn_cells(theta_o, empty, cfgs)
+        assert isinstance(failed, DegenerateInputError)
+        assert _summary(ft) == _outcome(theta_o, split, cfgs[1])
