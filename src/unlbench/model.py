@@ -366,7 +366,9 @@ class SgdState:
         for b, view in _views(flat, params).items():
             setattr(params, b, view)
         start = flat.size - params.Whead.size - params.bhead.size if cfg.freeze_encoder else 0
-        if cfg.grad_noise_sigma > 0 and noise is None:
+        if cfg.grad_noise_sigma == 0:
+            noise = None
+        elif noise is None:
             noise = NoiseFeed(make_rng(cfg.seed, STREAM_NOISE), flat.size)
         return SgdState(
             params=flat,
@@ -375,7 +377,7 @@ class SgdState:
             scratch=np.empty(flat.size - start),
             mask=None if mask is None else mask[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
-            noise=noise if cfg.grad_noise_sigma > 0 else None,
+            noise=noise,
         )
 
 
@@ -444,7 +446,9 @@ class SgdRun(NamedTuple):
 
 
 def _stream(run: SgdRun) -> tuple:
-    """The noise stream a noisy run reads: its seed and flat size."""
+    """The noise stream a noisy run reads: its seed and flat size.  It is
+    drawn over the whole vector, so the head's noise does not depend on
+    freeze_encoder."""
     return run.cfg.seed, sum(getattr(run.params, b).size for b in BLOCKS)
 
 
