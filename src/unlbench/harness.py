@@ -49,11 +49,11 @@ from .metrics import (
     split_accuracies,
     split_logits,
 )
-from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
+from .model import MlpParams, SgdRun, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
 from .serial import ConfigDict
-from .unlearning import (UnlearnConfig, compute_centroids, run_length, run_unlearning,
-                         unlearn_cells)
+from .unlearning import (UnlearnConfig, compute_centroids, finish_cells, run_unlearning,
+                         start_cells)
 
 # Seed-derivation streams under master_seed.
 _S_TRAIN_ORIGINAL = 1
@@ -584,7 +584,9 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
 # against none, BLAS on one thread, medians of five: on the default config
 # 2 016 steps took 0.67 s against 0.61 s and 2 688 steps 0.76 s against
 # 0.79 s; on large-top-dp's scenario 1 918 steps took 0.54 s against
-# 0.56 s and 9 590 steps 2.1 s against 2.6 s.
+# 0.56 s and 9 590 steps 2.1 s against 2.6 s.  The two scenarios break
+# even at different step counts, so 2 500 is a judgement between them, not
+# a measured break-even, and no benchmark workload runs a sweep below it.
 WORKER_MIN_STEPS = 2500
 
 
@@ -595,17 +597,22 @@ def _usable_cpus() -> int:
 
 
 def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
-    """unlearn_cells over cfgs, with every second cell in one worker process
-    (unlbench.worker) when at least two CPUs are usable and the cells'
-    SGD steps exceed WORKER_MIN_STEPS.  The parent runs its own cells while
-    the worker starts; the results come back merged in cell order."""
-    if (len(cfgs) < 2 or _usable_cpus() < 2
-            or sum(run_length(split, c) for c in cfgs) <= WORKER_MIN_STEPS):
-        return unlearn_cells(theta_o, split, cfgs)
+    """unlearning.unlearn_cells over cfgs, with every second cell in one
+    worker process (unlbench.worker) when at least two CPUs are usable and
+    the cells' runs make more than WORKER_MIN_STEPS SGD steps.  The parent
+    runs its own cells while the worker starts; the results come back
+    merged in cell order."""
+    # Every cell is started here for its run's length; a cell the worker
+    # takes is dropped and started again there, which repeats at most a
+    # pass over a split set (teacher outputs, centroids, saliency).
+    started = start_cells(theta_o, split, cfgs)
+    steps = sum(run.n_steps for _, run in started if isinstance(run, SgdRun))
+    if len(cfgs) < 2 or _usable_cpus() < 2 or steps <= WORKER_MIN_STEPS:
+        return finish_cells(started)
     from .worker import Worker  # not at import: `python -m unlbench.worker` imports this module
     out = list(cfgs)
     with Worker(theta_o, split, cfgs[1::2]) as worker:
-        out[0::2] = unlearn_cells(theta_o, split, cfgs[0::2])
+        out[0::2] = finish_cells(started[0::2])
         out[1::2] = worker.results()
     return out
 

@@ -358,18 +358,15 @@ class SgdState:
         """Copy params' blocks into one vector and rebind them to views of it.
 
         mask, if given, is a 0/1 vector laid out like that one.  noise is
-        the feed of a noisy run's stream (make_rng(cfg.seed, STREAM_NOISE)
-        over that vector's size), which runs in lockstep share; without
-        it a noisy run gets a feed of its own that draws inline.
+        the feed of the run's stream (make_rng(cfg.seed, STREAM_NOISE)
+        over that vector's size), which sgd_lockstep builds and its runs
+        of one stream share; a run with grad_noise_sigma 0 reads none,
+        though its stream's key may be that of noisy runs beside it.
         """
         flat = np.concatenate([getattr(params, b).ravel() for b in BLOCKS])
         for b, view in _views(flat, params).items():
             setattr(params, b, view)
         start = flat.size - params.Whead.size - params.bhead.size if cfg.freeze_encoder else 0
-        if cfg.grad_noise_sigma == 0:
-            noise = None
-        elif noise is None:
-            noise = NoiseFeed(make_rng(cfg.seed, STREAM_NOISE), flat.size)
         return SgdState(
             params=flat,
             start=start,
@@ -377,7 +374,7 @@ class SgdState:
             scratch=np.empty(flat.size - start),
             mask=None if mask is None else mask[start:],
             shuffle_rng=make_rng(cfg.seed, STREAM_SHUFFLE),
-            noise=noise,
+            noise=noise if cfg.grad_noise_sigma > 0 else None,
         )
 
 
@@ -518,11 +515,6 @@ def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None
     return result
 
 
-def epoch_steps(n: int, cfg: TrainConfig) -> int:
-    """The length of a run of cfg.epochs passes of epoch_batches over n rows."""
-    return cfg.epochs * -(-n // cfg.batch_size)
-
-
 def epochs_run(params: MlpParams, cfg: TrainConfig, n: int, step,
                mask: np.ndarray | None = None) -> SgdRun:
     """The SgdRun of cfg.epochs shuffled passes of epoch_batches over n rows.
@@ -538,7 +530,7 @@ def epochs_run(params: MlpParams, cfg: TrainConfig, n: int, step,
         for epoch in range(cfg.epochs):
             for idx in epoch_batches(n, cfg.batch_size, state.shuffle_rng):
                 yield step(work, epoch, idx)
-    return SgdRun(params, cfg, steps, mask, epoch_steps(n, cfg))
+    return SgdRun(params, cfg, steps, mask, cfg.epochs * -(-n // cfg.batch_size))
 
 
 def cross_entropy_run(params: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,

@@ -9,8 +9,9 @@ so runtime cost can be compared without wall-clock noise.
 Each procedure makes exactly one SGD run.  It is written as a generator
 that yields that run (a model.SgdRun), is sent back its (params, visits)
 and returns its UnlearnResult, so that unlearn_cells can step the runs of
-many cells together (model.sgd_lockstep).  The public unlearn_* functions
-and run_unlearning run one cell by itself.
+many cells together (model.sgd_lockstep): start_cells advances each cell
+to its run, whose length is then known, and finish_cells steps the runs.
+The public unlearn_* functions and run_unlearning run one cell by itself.
 """
 
 import functools
@@ -32,7 +33,6 @@ from .model import (
     cross_entropy_grad_logits,
     cross_entropy_gradient,
     cross_entropy_run,
-    epoch_steps,
     epochs_run,
     forward,
     init_params,
@@ -158,30 +158,35 @@ def _alone(procedure):
     docstring), as a plain call that runs that one cell by itself; the
     procedure stays reachable as .cell."""
     @functools.wraps(procedure)
-    def call(*args):
-        return _solo(procedure(*args))
+    def call(*args, **kwargs):
+        return _solo(procedure(*args, **kwargs))
     call.cell = procedure
     return call
 
 
-def _run_cells(cells: list) -> list:
-    """Start each procedure generator, step all their runs together, and
-    send each its run's outcome.  Returns each cell's UnlearnResult, or
-    the exception that stopped it, in order."""
-    out, runs, started = [None] * len(cells), [], []
-    for i, cell in enumerate(cells):
-        try:
-            runs.append(next(cell))
-            started.append(i)
-        except Exception as exc:  # a cell that fails before its run stops alone
-            out[i] = exc
-    for i, outcome in zip(started, sgd_lockstep(runs)):
+def _start(cell) -> tuple:
+    """(cell, the SgdRun it yields), or (cell, the exception that stopped
+    it before its run)."""
+    try:
+        return cell, next(cell)
+    except Exception as exc:  # a cell that fails before its run stops alone
+        return cell, exc
+
+
+def finish_cells(started: list) -> list:
+    """Step the runs of started cells (start_cells) together and send each
+    cell its run's outcome.  Returns each cell's UnlearnResult, or the
+    exception that stopped it, in order."""
+    out = [run if isinstance(run, Exception) else None for _, run in started]
+    live = [i for i, result in enumerate(out) if result is None]
+    for i, outcome in zip(live, sgd_lockstep([started[i][1] for i in live])):
+        cell = started[i][0]
         if isinstance(outcome, Exception):
-            cells[i].close()
+            cell.close()
             out[i] = outcome
             continue
         try:
-            cells[i].send(outcome)
+            cell.send(outcome)
         except StopIteration as stop:
             out[i] = stop.value
         except Exception as exc:
@@ -190,7 +195,7 @@ def _run_cells(cells: list) -> list:
 
 
 def _solo(cell):
-    result, = _run_cells([cell])
+    result, = finish_cells([_start(cell)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -488,10 +493,6 @@ def kl_teacher_student(teacher_pair: tuple, student_logits: np.ndarray,
     return kl, d_student
 
 
-def _scrub_steps(cfg: UnlearnConfig) -> int:
-    return cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
-
-
 @_alone
 def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                   cfg: UnlearnConfig) -> UnlearnResult:
@@ -525,7 +526,8 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
                 yield backward(work, cache, d_logits=d_kl + d_ce), kl + ce, idx.size, 1.0
 
-    params, visits = yield SgdRun(theta_o, cfg.base, steps, n_steps=_scrub_steps(cfg))
+    n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
+    params, visits = yield SgdRun(theta_o, cfg.base, steps, n_steps=n_steps)
     return UnlearnResult(params, visits)
 
 
@@ -543,7 +545,7 @@ def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig):
 
 
 # Each method's procedure generator and the split sets it takes after
-# theta_o; the first set's batches make the run's steps, except SCRUB's.
+# theta_o.
 _PROCEDURES = {
     "FT": (unlearn_ft.cell, ("Dr",)),
     "GA": (unlearn_ga.cell, ("Df",)),
@@ -558,16 +560,23 @@ _PROCEDURES = {
 }
 
 
-def run_length(split: ForgetSplit, cfg: UnlearnConfig) -> int:
-    """The number of SGD updates cfg's run over split makes."""
-    if cfg.method == "SCRUB":
-        return _scrub_steps(cfg)
-    return epoch_steps(getattr(split, _PROCEDURES[cfg.method][1][0]).n, cfg.base)
-
-
 def _cell(theta_o: MlpParams, split: ForgetSplit, cfg: UnlearnConfig):
     procedure, sets = _PROCEDURES[cfg.method]
     return procedure(theta_o, *(getattr(split, s) for s in sets), cfg)
+
+
+def cells_split(split: ForgetSplit, cfgs) -> ForgetSplit:
+    """split with None for each set that no cell of cfgs reads."""
+    used = {s for cfg in cfgs for s in _PROCEDURES[cfg.method][1]}
+    return replace(split, **{s: None for s in ("Df", "Dr", "Df_te", "Dr_te") if s not in used})
+
+
+def start_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
+    """One unlearning cell per config over one split, each advanced to its
+    SGD run, so that every run's n_steps is known before any run steps.
+    Returns a (cell, SgdRun or the exception that stopped the cell) pair
+    per config, for finish_cells."""
+    return [_start(_cell(theta_o, split, cfg)) for cfg in cfgs]
 
 
 def unlearn_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
@@ -575,7 +584,7 @@ def unlearn_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
     (model.sgd_lockstep), each with the bits it has when run alone.
     Returns each cell's UnlearnResult, or the exception that stopped it,
     in config order."""
-    return _run_cells([_cell(theta_o, split, cfg) for cfg in cfgs])
+    return finish_cells(start_cells(theta_o, split, cfgs))
 
 
 def run_unlearning(theta_o: MlpParams, split: ForgetSplit,

@@ -17,23 +17,25 @@ import threading
 from pathlib import Path
 
 from .errors import WorkerError
-from .unlearning import unlearn_cells
+from .unlearning import cells_split, unlearn_cells
 
 
 class Worker:
     """One worker process running unlearn_cells(theta_o, split, cfgs).
 
-    Used as a context manager: on every exit the process is killed if it
-    still runs, and it and the input thread are reaped.
+    It is sent only the split sets its cells read (cells_split).  Used
+    as a context manager: on every exit the process is killed if it still
+    runs, and it and the input thread are reaped.
     """
 
     def __init__(self, theta_o, split, cfgs):
+        payload = (theta_o, cells_split(split, cfgs), cfgs)
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         self._proc = subprocess.Popen([sys.executable, "-m", "unlbench.worker"], env=env,
                                       stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self._input = threading.Thread(target=self._send, args=((theta_o, split, cfgs),),
+        self._input = threading.Thread(target=self._send, args=(payload,),
                                        name="unlbench-worker-input")
         self._input.start()
 

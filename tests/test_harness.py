@@ -27,7 +27,7 @@ from unlbench.harness import (
 )
 from unlbench.model import TrainConfig, forward, init_params, sgd_train, softmax
 from unlbench.rng import make_rng
-from unlbench.unlearning import UnlearnConfig, run_length, run_unlearning, unlearn_cells
+from unlbench.unlearning import UnlearnConfig, run_unlearning, start_cells, unlearn_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -466,7 +466,7 @@ class _RecordingWorker(worker.Worker):
 def with_worker(monkeypatch):
     """Every sweep with two or more cells takes a worker."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "WORKER_MIN_STEPS", 0)
+    monkeypatch.setattr(harness, "WORKER_MIN_STEPS", -1)
 
 
 class TestSweepCells:
@@ -484,7 +484,8 @@ class TestSweepCells:
         ft = default_method_config("FT")
         cfgs = [replace(ft, base=replace(ft.base, seed=9, grad_noise_sigma=s))
                 for s in SweepSpec().sigma_grid]
-        assert [run_length(split, c) for c in cfgs] == [1370] * 7
+        theta_o = init_params(4, 40, 1, hidden=4, feat_dim=4)
+        assert [run.n_steps for _, run in start_cells(theta_o, split, cfgs)] == [1370] * 7
         drawn = []
         draw = model.NoiseFeed._draw
 
@@ -493,7 +494,6 @@ class TestSweepCells:
             return draw(feed, chunk)
         monkeypatch.setattr(model.NoiseFeed, "_draw", counting)
         monkeypatch.setattr(worker, "Worker", _InProcessWorker)
-        theta_o = init_params(4, 40, 1, hidden=4, feat_dim=4)
         cells = harness.sweep_cells(theta_o, split, cfgs)
         assert sum(drawn) == 2740  # one stream in each of the two processes
         drawn.clear()
@@ -536,7 +536,7 @@ class TestSweepCells:
         def fail(*_args, **_kwargs):
             raise TypeError("a bug")
         module, name = (unlearning, "cross_entropy_run") if target == "cell" else (
-            harness, "unlearn_cells")
+            harness, "finish_cells")
         monkeypatch.setattr(module, name, fail)
         monkeypatch.setattr(worker, "Worker", _RecordingWorker)
         _RecordingWorker.started.clear()

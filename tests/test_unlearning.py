@@ -41,6 +41,7 @@ from unlbench.unlearning import (
     saliency_mask,
     tempered_teacher,
     top_fraction_mask,
+    unlearn_ft,
     unlearn_ga,
     unlearn_pl,
     unlearn_rl,
@@ -431,6 +432,18 @@ class TestRetrain:
         assert model_accuracy(res.params, split.Df) <= 0.01
 
 
+def test_procedures_take_keyword_arguments(scenario):
+    theta_o, split = scenario
+    cfg = cfg_for("RETRAIN", epochs=1)
+    by_name = retrain_gold(split.Dr, cfg.base, hidden=32, feat_dim=8)
+    in_order = retrain_gold(split.Dr, cfg.base, 32, 8)
+    assert by_name.params.content_hash() == in_order.params.content_hash()
+    assert by_name.params.W1.shape[1] == 32 and by_name.params.feat_dim == 8
+    ft = cfg_for("FT", epochs=1)
+    assert unlearn_ft(theta_o, dr=split.Dr, cfg=ft).params.content_hash() == (
+        run_unlearning(theta_o, split, ft).params.content_hash())
+
+
 DECLARED_KNOBS = {
     "FT": set(), "GA": set(), "RL": set(), "PL": set(), "RETRAIN": set(),
     "SalUn": {"saliency_fraction"},
@@ -487,7 +500,7 @@ class TestMethodInvariants:
 
     # A noisy run's helper thread draws noise for exactly the steps the run
     # is told it lasts, so each run must be told its true length; the
-    # dp-noise sweep sizes its work by run_length without building a run.
+    # dp-noise sweep's worker gate adds up the same lengths.
     @pytest.mark.parametrize("method", [*METHODS, "sgd_train"])
     def test_each_run_is_told_its_true_length(self, scenario, monkeypatch, method):
         theta_o, split = scenario
@@ -510,7 +523,6 @@ class TestMethodInvariants:
             sgd_train(theta_o, split.Dr, cfg.base)
         else:
             run_unlearning(theta_o, split, cfg)
-            assert unlearning.run_length(split, cfg) == runs[0].n_steps
         [run], [state] = runs, states
         assert run.n_steps == state.step > 0
 
@@ -610,6 +622,15 @@ class TestLockstepCells:
         assert {k: v for k, v in got.items() if k in golden} == {
             k: v for k, v in golden.items() if k in got}
         assert any("error" in v for v in got.values())  # some "diverge" cells do
+
+    def test_worker_is_sent_only_the_sets_its_cells_read(self, scenario):
+        theta_o, split = scenario
+        sets = ("Df", "Dr", "Df_te", "Dr_te")
+        for methods, kept in [(["FT"], {"Dr"}), (["GA", "FT"], {"Df", "Dr"}),
+                              (["CU"], {"Df", "Dr"})]:
+            sent = unlearning.cells_split(split, [cfg_for(m) for m in methods])
+            assert {s for s in sets if getattr(sent, s) is not None} == kept
+            assert all(getattr(sent, s) is getattr(split, s) for s in kept)
 
     def test_a_cell_failing_before_its_run_stops_alone(self, scenario):
         theta_o, split = scenario
