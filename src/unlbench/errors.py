@@ -42,8 +42,8 @@ class DivergenceError(RuntimeError):
 
     def __reduce__(self):
         # The default rebuilds from args, the message alone, which would
-        # pass the message as the step.
-        return type(self), (self.step, str(self))
+        # pass the message as the step; the state keeps any notes.
+        return type(self), (self.step, str(self)), self.__dict__
 
 
 class WorkerError(RuntimeError):

@@ -471,6 +471,18 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _score_cell(outcome, score, failed) -> tuple:
+    """A sweep cell's (scores, status): score(result) and "ok", or `failed`
+    and the failure's text when the cell or its scoring stopped on one of
+    _CELL_FAILURES.  Any other error propagates."""
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        return score(outcome), "ok"
+    except _CELL_FAILURES as exc:
+        return failed, _failure(exc)
+
+
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.6f}"
 
@@ -552,27 +564,26 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
     The CSV's trailing status column is "ok", or names each failed cell of
     the row as "epochs=E: ExceptionName: message", joined by "; ".  The
     first grid cell's seed matches run_scenario's first repeat, so a 1x1
-    grid reproduces its H-LR exactly.
+    grid reproduces its H-LR exactly.  The cells train together
+    (sweep_cells), and this process scores every one.
     """
     m_idx, mcfg = _find_method(cfg, method)
     if ctx is None:
         ctx = build_scenario(cfg)
     seed = _method_seed(cfg.master_seed, m_idx, 0)
-    grid, statuses = [], []
-    for lr in lr_grid:
-        row, failures = [], []
-        for ep in epoch_grid:
-            run_cfg = replace(mcfg, base=replace(mcfg.base, seed=seed,
-                                                 lr=float(lr), epochs=int(ep)))
-            try:
-                result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-                ev = evaluate_model(ctx, result.params)
-                row.append(ev["hlr"])
-            except _CELL_FAILURES as exc:
-                row.append(float("nan"))
-                failures.append(f"epochs={int(ep)}: {_failure(exc)}")
-        grid.append(row)
-        statuses.append("; ".join(failures) or "ok")
+    cfgs = [replace(mcfg, base=replace(mcfg.base, seed=seed, lr=float(lr), epochs=int(ep)))
+            for lr in lr_grid for ep in epoch_grid]
+
+    def hlr(result):
+        return evaluate_model(ctx, result.params)["hlr"]
+    scored = [_score_cell(outcome, hlr, float("nan"))
+              for outcome in sweep_cells(ctx.theta_o, ctx.split, cfgs)]
+    n = len(epoch_grid)
+    rows = [scored[i * n:(i + 1) * n] for i in range(len(lr_grid))]
+    grid = [[value for value, _ in row] for row in rows]
+    statuses = ["; ".join(f"epochs={int(ep)}: {status}"
+                          for ep, (_, status) in zip(epoch_grid, row) if status != "ok") or "ok"
+                for row in rows]
     return grid, _csv_text([["lr\\epochs"] + [str(int(e)) for e in epoch_grid] + ["status"]]
                            + [[f"{float(lr):g}"] + [_fmt(v) for v in row] + [status]
                               for lr, row, status in zip(lr_grid, grid, statuses)])
@@ -582,9 +593,9 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
 # about 0.3 s on the 2-CPU reference machine (interpreter, package import,
 # the pickled split).  Timed there on seven-cell FT dp-noise sweeps, worker
 # against none, BLAS on one thread, medians of five: on the default config
-# 2 016 steps took 0.67 s against 0.61 s and 2 688 steps 0.76 s against
-# 0.79 s; on large-top-dp's scenario 1 918 steps took 0.54 s against
-# 0.56 s and 9 590 steps 2.1 s against 2.6 s.  The two scenarios break
+# 2 016 steps took 0.45 s against 0.40 s and 2 688 steps 0.47 s against
+# 0.54 s; on large-top-dp's scenario 1 918 steps took 0.39 s against
+# 0.44 s and 9 590 steps 1.5 s against 2.6 s.  The two scenarios break
 # even at different step counts, so 2 500 is a judgement between them, not
 # a measured break-even, and no benchmark workload runs a sweep below it.
 WORKER_MIN_STEPS = 2500
@@ -638,19 +649,16 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
     seed = _method_seed(cfg.master_seed, m_idx, 0)
     cfgs = [replace(mcfg, base=replace(mcfg.base, seed=seed, grad_noise_sigma=float(sigma)))
             for sigma in sigma_grid]
+
+    def score(result):
+        knn, side, _ = _representation(ctx.features(result.params, name),
+                                       ref.probe_idx, ref.knn_split)
+        return knn, compute_cka(side, ref.cka_r), compute_cka(side, ref.cka_o)
     rows, statuses = [], []
-    for sigma, result in zip(sigma_grid, sweep_cells(ctx.theta_o, ctx.split, cfgs)):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            knn, side, _ = _representation(ctx.features(result.params, name),
-                                           ref.probe_idx, ref.knn_split)
-            rows.append((float(sigma), knn, compute_cka(side, ref.cka_r),
-                         compute_cka(side, ref.cka_o)))
-            statuses.append("ok")
-        except _CELL_FAILURES as exc:
-            rows.append((float(sigma), float("nan"), float("nan"), float("nan")))
-            statuses.append(_failure(exc))
+    for sigma, outcome in zip(sigma_grid, sweep_cells(ctx.theta_o, ctx.split, cfgs)):
+        scores, status = _score_cell(outcome, score, (float("nan"),) * 3)
+        rows.append((float(sigma), *scores))
+        statuses.append(status)
     return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo", "status"]]
                            + [[f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo), status]
                               for (sigma, knn, ur, uo), status in zip(rows, statuses)])

@@ -17,20 +17,15 @@ sgd_lockstep steps a list of runs together, one update each per round in
 list order; sgd_loop is its one-run call.  A run with grad_noise_sigma > 0
 adds sigma times a stream of unit normals to each step's gradient, and
 the runs of one call that share a stream (same seed, same flat size) read
-one NoiseFeed, so the stream is drawn once for all of them.  A feed that
-lasts more than NOISE_CHUNK_STEPS steps uses a second thread: it draws
-the stream ahead, a chunk of steps at a time, while the training thread
-computes gradients.  Every run takes its rows in stream order and scales
-them itself, so the bits depend neither on the thread nor on which runs
-step beside it.  A noise-free call, a shorter one, or one whose length
-the caller does not give starts no thread.
+one NoiseFeed: the first of them to reach a step draws its row and the
+others reuse it, so the stream is drawn once for all of them.  Every run
+scales the row itself, so its bits do not depend on which runs step
+beside it.
 """
 
 import hashlib
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,13 +43,6 @@ BLOCKS = ("W1", "b1", "W2", "b2", "Whead", "bhead")
 # Stream ids under a TrainConfig seed.  Unlearning methods reserve ids >= 3.
 STREAM_SHUFFLE = 1
 STREAM_NOISE = 2
-
-# Steps of gradient noise a NoiseFeed's helper draws per chunk.  The two
-# threads synchronise once per chunk, so a chunk must be long: one vector
-# per step made a noisy run slower than drawing on the training thread.
-# A run of at most one chunk draws on the training thread, as the helper
-# could only make it wait for its first chunk.
-NOISE_CHUNK_STEPS = 64
 
 DEFAULT_HIDDEN = 64
 DEFAULT_FEAT = 16
@@ -268,66 +256,23 @@ def _views(flat: np.ndarray, like: MlpParams) -> dict:
 
 class NoiseFeed:
     """The unit normals of one gradient-noise stream, one vector of `size`
-    per step, in stream order.
+    per step, in stream order, for runs that step in lockstep."""
 
-    A feed that is given its length `steps` and lasts more than one chunk
-    has its rows drawn ahead by one helper thread, started by the first
-    next(): chunks of up to NOISE_CHUNK_STEPS rows in two buffers, never
-    past `steps`.  Any other feed, and any step past `steps`, draws on the
-    calling thread.  Each chunk is filled only after the one before it,
-    so the rows are the successive standard_normal(size) draws either way
-    and the bits do not depend on the thread.  A failed fill re-raises in
-    next(); close() drops the fills not begun and joins the helper.
-    """
-
-    def __init__(self, rng: np.random.Generator, size: int, steps: int | None = None):
+    def __init__(self, rng: np.random.Generator, size: int):
         self._rng = rng
-        self._ahead = steps if steps is not None and steps > NOISE_CHUNK_STEPS else 0
-        self._pool = None
-        self._fills = deque()  # futures of the drawn-ahead chunks, in order
-        self._one = np.empty((1, size))
-        self._chunk, self._row = self._one, 1
-        self._taken = 0  # rows next() has handed out
-
-    def _draw(self, chunk: np.ndarray) -> np.ndarray:
-        self._rng.standard_normal(out=chunk)
-        return chunk
-
-    def _submit(self, buf: np.ndarray) -> None:
-        rows = min(self._ahead, NOISE_CHUNK_STEPS)
-        if rows:
-            self._ahead -= rows
-            self._fills.append(self._pool.submit(self._draw, buf[:rows]))
-
-    def next(self) -> np.ndarray:
-        """The next step's row; valid until the following call."""
-        if self._row == len(self._chunk):
-            if self._pool is None and self._ahead:
-                self._pool = ThreadPoolExecutor(1, thread_name_prefix="unlbench-noise")
-                for _ in range(2):
-                    self._submit(np.empty((NOISE_CHUNK_STEPS, self._one.shape[1])))
-            elif self._chunk is not self._one:
-                self._submit(self._chunk)  # every row read: refill it
-            # Drawn here only once every fill is taken, so the helper is idle.
-            self._chunk = self._fills.popleft().result() if self._fills else self._draw(self._one)
-            self._row = 0
-        self._row += 1
-        self._taken += 1
-        return self._chunk[self._row - 1]
+        self._row = np.empty(size)
+        self._step = -1  # the step whose row _row holds
 
     def row(self, step: int) -> np.ndarray:
-        """Row `step` of the stream for a run at that step: runs in
-        lockstep all ask for one step per round, and the first to ask
-        draws it."""
-        if step == self._taken:
-            return self.next()
-        if step != self._taken - 1:
-            raise ValueError(f"row {step} asked of a feed at row {self._taken - 1}")
-        return self._chunk[self._row - 1]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+        """Row `step` of the stream, valid until the next step's is drawn:
+        runs in lockstep all ask for one step per round, and the first to
+        ask draws it."""
+        if step == self._step + 1:
+            self._rng.standard_normal(out=self._row)
+            self._step = step
+        elif step != self._step:
+            raise ValueError(f"row {step} asked of a feed at row {self._step}")
+        return self._row
 
 
 @dataclass
@@ -431,9 +376,9 @@ class SgdRun(NamedTuple):
     vector in BLOCKS order (see backward) that the update consumes; it
     computes each gradient after the previous update, so every stream
     draws in a fixed order.  mask is a 0/1 vector over the flat layout
-    (see SgdState.create).  n_steps, the number of updates steps yields,
-    if known, lets a long noisy run draw its noise ahead (see NoiseFeed);
-    the bits do not depend on it.
+    (see SgdState.create).  n_steps is the number of updates steps yields,
+    if known; harness.sweep_cells adds these up to decide whether a sweep
+    takes a worker process.
     """
     params: MlpParams
     cfg: TrainConfig
@@ -455,61 +400,48 @@ def sgd_lockstep(runs: list) -> list:
     Steps the runs together, one update each per round, in list order.
     Each run's working copy's blocks are views of one flat vector
     (SgdState), so each update runs on whole vectors.  The noisy runs of
-    one stream read one NoiseFeed, told the longest known length among
-    them; it is stopped and joined on every exit.  A run that raises, or
-    whose loss or parameters go non-finite (DivergenceError with the step
-    index), stops alone.  Returns, in run order, each run's (params,
-    sample_visits), the params sharing no memory with its input, or the
-    exception that stopped it.
+    one stream read one NoiseFeed.  A run that raises, or whose loss or
+    parameters go non-finite (DivergenceError with the step index), stops
+    alone.  Returns, in run order, each run's (params, sample_visits), the
+    params sharing no memory with its input, or the exception that
+    stopped it.
     """
-    lengths = {}
-    for run in runs:
-        if run.cfg.epochs > 0 and run.cfg.grad_noise_sigma > 0:
-            known = lengths.get(_stream(run), 0)
-            lengths[_stream(run)] = (None if known is None or run.n_steps is None
-                                     else max(known, run.n_steps))
-    feeds = {key: NoiseFeed(make_rng(key[0], STREAM_NOISE), key[1], steps)
-             for key, steps in lengths.items()}
+    feeds = {key: NoiseFeed(make_rng(key[0], STREAM_NOISE), key[1])
+             for key in {_stream(run) for run in runs if run.cfg.grad_noise_sigma > 0}}
     out, live = [None] * len(runs), []  # live: [index, work, state, steps, visits]
-    try:
-        for i, run in enumerate(runs):
-            work = run.params.copy()
-            if run.cfg.epochs == 0:
-                out[i] = (work, 0)
-                continue
-            state = SgdState.create(work, run.cfg, run.mask, feeds.get(_stream(run)))
-            live.append([i, work, state, run.steps(work, state), 0])
-        while live:
-            for entry in live:
-                i, work, state, steps, visits = entry
-                try:
-                    step = next(steps, None)
-                    if step is None:
-                        check_finite(work, state.step)
-                        out[i] = (work, visits)
-                        continue
-                    grad, loss, rows, sign = step
-                    if not np.isfinite(loss):
-                        raise DivergenceError(state.step)
-                    apply_sgd_step(grad, state, runs[i].cfg, sign=sign)
-                    entry[4] = visits + rows
-                except Exception as exc:  # this run stops; the others go on
-                    steps.close()
-                    out[i] = exc
-            live = [entry for entry in live if out[entry[0]] is None]
-    finally:
+    for i, run in enumerate(runs):
+        work = run.params.copy()
+        if run.cfg.epochs == 0:
+            out[i] = (work, 0)
+            continue
+        state = SgdState.create(work, run.cfg, run.mask, feeds.get(_stream(run)))
+        live.append([i, work, state, run.steps(work, state), 0])
+    while live:
         for entry in live:
-            entry[3].close()
-        for feed in feeds.values():
-            feed.close()
+            i, work, state, steps, visits = entry
+            try:
+                step = next(steps, None)
+                if step is None:
+                    check_finite(work, state.step)
+                    out[i] = (work, visits)
+                    continue
+                grad, loss, rows, sign = step
+                if not np.isfinite(loss):
+                    raise DivergenceError(state.step)
+                apply_sgd_step(grad, state, runs[i].cfg, sign=sign)
+                entry[4] = visits + rows
+            except Exception as exc:  # this run stops; the others go on
+                steps.close()
+                out[i] = exc
+        live = [entry for entry in live if out[entry[0]] is None]
     return out
 
 
-def sgd_loop(params: MlpParams, cfg: TrainConfig, steps, mask: np.ndarray | None = None,
-             n_steps: int | None = None) -> tuple:
-    """sgd_lockstep's one-run call, on the fields of an SgdRun: returns
-    (params, sample_visits), or raises what stopped the run."""
-    result, = sgd_lockstep([SgdRun(params, cfg, steps, mask, n_steps)])
+def sgd_loop(params: MlpParams, cfg: TrainConfig, steps,
+             mask: np.ndarray | None = None) -> tuple:
+    """sgd_lockstep's one-run call: returns (params, sample_visits), or
+    raises what stopped the run."""
+    result, = sgd_lockstep([SgdRun(params, cfg, steps, mask)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -550,7 +482,8 @@ def sgd_train(params: MlpParams, dataset: Dataset, cfg: TrainConfig) -> MlpParam
     on an empty dataset, and DivergenceError with the step index if the
     loss goes non-finite.
     """
-    return sgd_loop(*cross_entropy_run(params, dataset.X, lambda _: dataset.y, cfg))[0]
+    run = cross_entropy_run(params, dataset.X, lambda _: dataset.y, cfg)
+    return sgd_loop(run.params, cfg, run.steps)[0]
 
 
 def accuracy(logits: np.ndarray, dataset: Dataset) -> float:

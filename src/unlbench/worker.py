@@ -4,9 +4,11 @@
 
 reads (theta_o, split, cfgs) pickled on stdin, runs
 unlearning.unlearn_cells on them and writes the list it returns, pickled,
-to stdout.  Worker is the parent's side: it starts the process, streams
-the input to it from a helper thread, so the parent can run cells of its
-own meanwhile, and reads the results back.
+to stdout.  Pickling drops an exception's traceback, so each exception
+in that list carries its formatted traceback as a note.  Worker is the
+parent's side: it starts the process, streams the input to it from a
+helper thread, so the parent can run cells of its own meanwhile, and
+reads the results back.
 """
 
 import os
@@ -14,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import traceback
 from pathlib import Path
 
 from .errors import WorkerError
@@ -75,7 +78,12 @@ class Worker:
 
 def main() -> int:
     theta_o, split, cfgs = pickle.load(sys.stdin.buffer)
-    pickle.dump(unlearn_cells(theta_o, split, cfgs), sys.stdout.buffer, protocol=5)
+    results = unlearn_cells(theta_o, split, cfgs)
+    for result in results:
+        if isinstance(result, Exception):
+            result.add_note("In the worker process:\n"
+                            + "".join(traceback.format_exception(result)).rstrip())
+    pickle.dump(results, sys.stdout.buffer, protocol=5)
     sys.stdout.buffer.flush()
     return 0
 

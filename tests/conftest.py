@@ -7,8 +7,8 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_helper_thread_left():
-    """Fail any test that leaves one of the program's helper threads alive:
-    a noise feed's (unlbench-noise) or a worker's input writer."""
+    """Fail any test that leaves the program's one helper thread, a
+    worker's input writer (unlbench-worker-input), alive."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name.startswith("unlbench-")]
+    left = [t.name for t in threading.enumerate() if t.name == "unlbench-worker-input"]
     assert not left, f"threads left running: {left}"

@@ -34,3 +34,11 @@ def test_divergence_error_keeps_its_step(message):
     back = pickle.loads(pickle.dumps(exc))
     assert back.step == 7
     assert str(back) == (message or "non-finite loss at training step 7")
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_round_trip_keeps_notes(cls):
+    exc = _instance(cls)
+    exc.add_note("raised in the worker")
+    back = pickle.loads(pickle.dumps(exc, protocol=5))
+    assert back.__notes__ == ["raised in the worker"]

@@ -486,31 +486,44 @@ class TestSweepCells:
                 for s in SweepSpec().sigma_grid]
         theta_o = init_params(4, 40, 1, hidden=4, feat_dim=4)
         assert [run.n_steps for _, run in start_cells(theta_o, split, cfgs)] == [1370] * 7
-        drawn = []
-        draw = model.NoiseFeed._draw
+        drawn = []  # one entry per noise row drawn
 
-        def counting(feed, chunk):
-            drawn.append(len(chunk))
-            return draw(feed, chunk)
-        monkeypatch.setattr(model.NoiseFeed, "_draw", counting)
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                drawn.append(out.shape)
+                return self.rng.standard_normal(out=out)
+        real_make_rng = model.make_rng
+        monkeypatch.setattr(model, "make_rng", lambda seed, stream: (
+            CountingRng(real_make_rng(seed, stream)) if stream == model.STREAM_NOISE
+            else real_make_rng(seed, stream)))
         monkeypatch.setattr(worker, "Worker", _InProcessWorker)
         cells = harness.sweep_cells(theta_o, split, cfgs)
-        assert sum(drawn) == 2740  # one stream in each of the two processes
+        assert len(drawn) == 2740  # one stream in each of the two processes
+        assert set(drawn) == {(sum(p.size for p in vars(theta_o).values()),)}
         drawn.clear()
         solo = [run_unlearning(theta_o, split, c) for c in cfgs]
-        assert sum(drawn) == 8220  # one stream per noisy cell
+        assert len(drawn) == 8220  # one stream per noisy cell
         assert [c.params.content_hash() for c in cells] == [
             c.params.content_hash() for c in solo]
 
-    def test_worker_gives_the_in_process_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("sweep", ["lr-epochs", "dp-noise"])
+    def test_worker_gives_the_in_process_sweep(self, monkeypatch, sweep):
         cfg = mini_config()
         ctx = build_scenario(cfg)
-        want = sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
+
+        def run():
+            if sweep == "lr-epochs":
+                return sweep_hyperparameters(cfg, "FT", [0.01, 0.1], [1, 2], ctx=ctx)
+            return sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
+        want = run()
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "WORKER_MIN_STEPS", 0)
         monkeypatch.setattr(worker, "Worker", _RecordingWorker)
         _RecordingWorker.started.clear()
-        assert sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx) == want
+        assert run() == want
         [started] = _RecordingWorker.started
         assert started._proc.returncode == 0
 
@@ -545,6 +558,23 @@ class TestSweepCells:
         [started] = _RecordingWorker.started
         assert started._proc.returncode is not None
         assert not started._input.is_alive()
+
+    def test_worker_cell_error_carries_the_worker_traceback(self):
+        # A batch size of the wrong type gets past the config's checks only
+        # by force, and the cell then raises a TypeError in the worker.
+        rng = make_rng(6, 0)
+
+        def dataset(n):
+            return Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
+        split = ForgetSplit((0,), (1, 2), dataset(8), dataset(24), dataset(8), dataset(8))
+        bad = default_method_config("FT")
+        object.__setattr__(bad.base, "batch_size", "64")
+        with worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4), split, [bad]) as w:
+            [exc] = w.results()
+        assert isinstance(exc, TypeError)
+        [note] = exc.__notes__
+        assert note.startswith("In the worker process:\nTraceback (most recent call last):")
+        assert ", in epochs_run\n" in note and note.endswith(str(exc))
 
     def test_worker_failure_raises_instead_of_nan_cells(self, monkeypatch, with_worker):
         cfg = mini_config()

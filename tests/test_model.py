@@ -1,8 +1,6 @@
 """Forward/backward correctness, SGD contracts, and checkpointing."""
 
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from unlbench.model import (
     BLOCKS,
     MlpParams,
     ModelCheckpoint,
-    NOISE_CHUNK_STEPS,
     NoiseFeed,
     STREAM_NOISE,
     TrainConfig,
@@ -260,8 +257,7 @@ class TestFlatSgdStep:
     """sgd_loop's flat-vector update against the per-block oracle."""
 
     N_STEPS = 9
-    # Runs that cross two noise-chunk boundaries, and one that ends on one.
-    LONG_RUNS = (2 * NOISE_CHUNK_STEPS + 5, 2 * NOISE_CHUNK_STEPS)
+    LONG_RUNS = (133, 128)
 
     def setup_method(self):
         rng = make_rng(12, 0)
@@ -287,10 +283,9 @@ class TestFlatSgdStep:
             oracle_sgd_step(params, grads, velocity, noise, cfg, sign, mask)
         return params, noise
 
-    def _flat(self, cfg, sign, mask, n_steps, length="exact"):
-        """The run through sgd_loop, told it lasts `length` steps (n_steps
-        by default); returns (params, state, noise), where noise is the
-        row the feed hands out after the last step (None without
+    def _flat(self, cfg, sign, mask, n_steps):
+        """The run through sgd_loop; returns (params, state, noise), where
+        noise is the feed's row for the step after the last (None without
         noise)."""
         seen = {}
 
@@ -299,17 +294,16 @@ class TestFlatSgdStep:
             for i in range(n_steps):
                 grad, loss = cross_entropy_gradient(work, *self._batch(i))
                 yield grad, loss, 8, sign
-            seen["noise"] = None if state.noise is None else state.noise.next().copy()
-        params, visits = sgd_loop(self.theta, cfg, steps, mask=mask,
-                                  n_steps=n_steps if length == "exact" else length)
+            seen["noise"] = None if state.noise is None else state.noise.row(n_steps).copy()
+        params, visits = sgd_loop(self.theta, cfg, steps, mask=mask)
         assert visits == 8 * n_steps
         return params, seen["state"], seen["noise"]
 
-    def _check_against_oracle(self, cfg, sign, masked, n_steps, length="exact"):
+    def _check_against_oracle(self, cfg, sign, masked, n_steps):
         want, want_noise = self._oracle(cfg, sign, self.block_mask if masked else None,
                                         n_steps)
         got, state, next_noise = self._flat(cfg, sign, self.mask if masked else None,
-                                            n_steps, length)
+                                            n_steps)
         assert state.step == n_steps
         for b in BLOCKS:
             assert np.array_equal(getattr(got, b), getattr(want, b)), b
@@ -334,20 +328,15 @@ class TestFlatSgdStep:
         cfg = TrainConfig(lr=0.05, epochs=1, seed=3, **knobs)
         self._check_against_oracle(cfg, sign, masked, self.N_STEPS)
 
-    # The length sgd_loop is told: the run's own (drawn ahead), none (drawn
-    # inline), one past a chunk (ahead, then inline), or too long (the
-    # helper's fills past the last step are dropped).
-    @pytest.mark.parametrize("length", ["exact", None, NOISE_CHUNK_STEPS + 1, 1000])
     @pytest.mark.parametrize("n_steps", LONG_RUNS)
     @pytest.mark.parametrize("sign, knobs, masked", [
         (1.0, {"grad_noise_sigma": 0.05}, False),
         (-1.0, {"nesterov": True, "grad_noise_sigma": 0.03, "momentum": 0.7}, True),
         (1.0, {"freeze_encoder": True, "grad_noise_sigma": 0.02}, True),
     ])
-    def test_long_runs_match_oracle_across_noise_chunks(self, sign, knobs, masked, n_steps,
-                                                        length):
+    def test_long_runs_match_oracle(self, sign, knobs, masked, n_steps):
         cfg = TrainConfig(lr=0.002, epochs=1, seed=5, **knobs)
-        self._check_against_oracle(cfg, sign, masked, n_steps, length)
+        self._check_against_oracle(cfg, sign, masked, n_steps)
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_result_shares_no_memory_with_input(self, epochs):
@@ -366,50 +355,22 @@ class TestFlatSgdStep:
         assert a.content_hash() == b.content_hash()
 
 
-def noise_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("unlbench-noise")]
-
-
-class _SlowRng:
-    """A noise generator whose draws take 50 ms each and give zeros."""
-
-    def standard_normal(self, out):
-        time.sleep(0.05)
-        out[...] = 0.0
-
-
-class _FailingRng:
-    """A noise generator whose draws raise after `good` successful ones."""
-
-    def __init__(self, good=0):
-        self.good = good
-
-    def standard_normal(self, out):
-        if self.good == 0:
-            raise RuntimeError("stub draw failed")
-        self.good -= 1
-        out[...] = 0.0
-
-
-class TestNoiseFeedThreads:
-    """A noisy run's helper thread never outlives the run, and its failures
-    surface in the caller."""
+class TestNoisyRuns:
+    """A noisy run draws its noise on the training thread, and stops on
+    the step that fails."""
 
     def setup_method(self):
         rng = make_rng(14, 0)
         self.theta = tiny_params(14)
         self.x = rng.standard_normal((16, 5))
         self.y = rng.integers(0, 4, 16)
-        assert noise_threads() == []
-
-    def teardown_method(self):
-        assert noise_threads() == []
+        self.cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
 
     def _steps(self, n_steps, fail_at=None, exc=None, seen=None):
         def steps(work, state):
             for i in range(n_steps):
                 if seen is not None:
-                    seen.append(len(noise_threads()))
+                    seen.append(threading.active_count())
                 grad, loss = cross_entropy_gradient(work, self.x, self.y)
                 if i == fail_at:
                     if exc is None:
@@ -419,107 +380,31 @@ class TestNoiseFeedThreads:
                 yield grad, loss, 16, 1.0
         return steps
 
-    # Only a noisy run known to last more than one chunk starts a helper,
-    # on its first update.
-    @pytest.mark.parametrize("sigma, n_steps, length, threads", [
-        (0.0, NOISE_CHUNK_STEPS + 3, NOISE_CHUNK_STEPS + 3, 0),
-        (0.1, NOISE_CHUNK_STEPS + 3, NOISE_CHUNK_STEPS + 3, 1),
-        (0.1, NOISE_CHUNK_STEPS, NOISE_CHUNK_STEPS, 0),
-        (0.1, NOISE_CHUNK_STEPS + 3, None, 0),
-    ])
-    def test_run_ending_normally(self, sigma, n_steps, length, threads):
-        seen = []
-        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=sigma)
-        sgd_loop(self.theta, cfg, self._steps(n_steps, seen=seen), n_steps=length)
-        assert seen[0] == 0 and set(seen[1:]) == {threads}
-
-    @pytest.mark.parametrize("steps", [NOISE_CHUNK_STEPS + 1, 2 * NOISE_CHUNK_STEPS,
-                                       2 * NOISE_CHUNK_STEPS + 5])
-    def test_helper_draws_nothing_past_the_run(self, steps):
-        rng, oracle = make_rng(9, STREAM_NOISE), make_rng(9, STREAM_NOISE)
-        feed = NoiseFeed(rng, 11, steps)
-        try:
-            rows = [feed.next().copy() for _ in range(steps)]
-        finally:
-            feed.close()
-        assert np.array_equal(np.array(rows), oracle.standard_normal((steps, 11)))
-        # The generator stands right after the run's last row.
-        assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
-
-    def test_run_raising_mid_fill_joins_the_helper(self, monkeypatch):
-        # The slow generator keeps the helper inside its third fill when
-        # the steps raise at step 70; sgd_loop returns only after the join.
-        import unlbench.model as model
-
-        def rng_for(seed, stream):
-            return _SlowRng() if stream == STREAM_NOISE else make_rng(seed, stream)
-        monkeypatch.setattr(model, "make_rng", rng_for)
-        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
-        with pytest.raises(LabelError):
-            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70, exc=LabelError("bad")),
-                     n_steps=200)
-        assert noise_threads() == []
+    def test_starts_no_thread(self):
+        before, seen = threading.active_count(), []
+        sgd_loop(self.theta, self.cfg, self._steps(3 * 64 + 1, seen=seen))
+        assert len(seen) == 3 * 64 + 1 and set(seen) == {before}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_mid_run(self):
-        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
         with pytest.raises(DivergenceError) as err:
-            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70), n_steps=200)
+            sgd_loop(self.theta, self.cfg, self._steps(200, fail_at=70))
         assert err.value.step == 70
 
     def test_steps_generator_raising_mid_run(self):
-        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
         with pytest.raises(LabelError):
-            sgd_loop(self.theta, cfg, self._steps(200, fail_at=70, exc=LabelError("bad")),
-                     n_steps=200)
+            sgd_loop(self.theta, self.cfg, self._steps(200, fail_at=70, exc=LabelError("bad")))
 
-    @pytest.mark.parametrize("good", [0, 1])
-    def test_helper_failure_raises_in_caller(self, monkeypatch, good):
-        import unlbench.model as model
 
-        def rng_for(seed, stream):
-            return _FailingRng(good) if stream == STREAM_NOISE else make_rng(seed, stream)
-        monkeypatch.setattr(model, "make_rng", rng_for)
-        cfg = TrainConfig(lr=0.05, epochs=1, seed=2, grad_noise_sigma=0.1)
-        outcome = {}
-
-        def run():
-            try:
-                sgd_loop(self.theta, cfg, self._steps(3 * NOISE_CHUNK_STEPS),
-                         n_steps=3 * NOISE_CHUNK_STEPS)
-            except RuntimeError as exc:
-                outcome["exc"] = exc
-        # On a daemon thread, so that a hang fails the test instead of the suite.
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=20)
-        assert not worker.is_alive()
-        assert str(outcome["exc"]) == "stub draw failed"
-
-    def test_concurrent_runs_under_fast_switching_keep_their_bits(self):
-        # Four noisy runs at once (eight threads on fewer cores), switching
-        # threads every microsecond: a buffer handed back too early or a
-        # row read twice would change some run's bits from those of the
-        # run drawn inline.
-        cfg = TrainConfig(lr=0.01, epochs=1, seed=2, grad_noise_sigma=0.1)
-        n_steps = 3 * NOISE_CHUNK_STEPS + 1
-        steps = self._steps(n_steps)
-        want = sgd_loop(self.theta, cfg, steps)[0].content_hash()
-        got = []
-        workers = [threading.Thread(target=lambda: got.append(
-            sgd_loop(self.theta, cfg, steps, n_steps=n_steps)[0].content_hash()), daemon=True)
-            for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert got == [want] * 4
+def test_noise_feed_draws_each_row_once_in_stream_order():
+    feed, oracle = NoiseFeed(make_rng(9, STREAM_NOISE), 11), make_rng(9, STREAM_NOISE)
+    for step in range(3):
+        row = feed.row(step).copy()
+        assert np.array_equal(feed.row(step), row)  # a second run's read draws nothing
+        assert np.array_equal(row, oracle.standard_normal(11))
+    for step in (1, 4):
+        with pytest.raises(ValueError, match=f"row {step} asked of a feed at row 2"):
+            feed.row(step)
 
 
 class TestLeanBackprop:

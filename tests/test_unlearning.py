@@ -498,10 +498,9 @@ class TestMethodInvariants:
             assert np.array_equal(getattr(res.params, b), getattr(theta_o, b)), b
         assert not np.array_equal(res.params.Whead, theta_o.Whead)
 
-    # A noisy run's helper thread draws noise for exactly the steps the run
-    # is told it lasts, so each run must be told its true length; the
-    # dp-noise sweep's worker gate adds up the same lengths.
-    @pytest.mark.parametrize("method", [*METHODS, "sgd_train"])
+    # The sweeps' worker gate (harness.sweep_cells) adds up the runs'
+    # lengths, so each run must be told its true length.
+    @pytest.mark.parametrize("method", METHODS)
     def test_each_run_is_told_its_true_length(self, scenario, monkeypatch, method):
         theta_o, split = scenario
         runs, states = [], []
@@ -514,15 +513,9 @@ class TestMethodInvariants:
         def spy_create(*args):
             states.append(create(*args))
             return states[-1]
-        for module in (model, unlearning):
-            monkeypatch.setattr(module, "sgd_lockstep", spy_lockstep)
+        monkeypatch.setattr(unlearning, "sgd_lockstep", spy_lockstep)
         monkeypatch.setattr(SgdState, "create", staticmethod(spy_create))
-        cfg = cfg_for("FT" if method == "sgd_train" else method, epochs=3,
-                      grad_noise_sigma=0.01)
-        if method == "sgd_train":
-            sgd_train(theta_o, split.Dr, cfg.base)
-        else:
-            run_unlearning(theta_o, split, cfg)
+        run_unlearning(theta_o, split, cfg_for(method, epochs=3, grad_noise_sigma=0.01))
         [run], [state] = runs, states
         assert run.n_steps == state.step > 0
 
