@@ -270,7 +270,7 @@ class NoiseFeed:
         if step == self._step + 1:
             self._rng.standard_normal(out=self._row)
             self._step = step
-        elif step != self._step:
+        elif step != self._step or step < 0:
             raise ValueError(f"row {step} asked of a feed at row {self._step}")
         return self._row
 

@@ -12,7 +12,8 @@ import pytest
 from unlbench import harness, metrics, model, unlearning, worker
 from unlbench.cli import SweepSpec
 from unlbench.data import Dataset, DownstreamSpec, ForgetSplit, SyntheticSpec, generate_universe
-from unlbench.errors import BoundsError, DivergenceError, WorkerError
+from unlbench.errors import (BoundsError, DegenerateInputError, DivergenceError, NonFiniteError,
+                             WorkerError)
 from unlbench.harness import (
     ExperimentConfig,
     ScenarioSpec,
@@ -559,22 +560,39 @@ class TestSweepCells:
         assert started._proc.returncode is not None
         assert not started._input.is_alive()
 
-    def test_worker_cell_error_carries_the_worker_traceback(self):
-        # A batch size of the wrong type gets past the config's checks only
-        # by force, and the cell then raises a TypeError in the worker.
+    @staticmethod
+    def _tiny_split():
         rng = make_rng(6, 0)
 
         def dataset(n):
             return Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
-        split = ForgetSplit((0,), (1, 2), dataset(8), dataset(24), dataset(8), dataset(8))
+        return ForgetSplit((0,), (1, 2), dataset(8), dataset(24), dataset(8), dataset(8))
+
+    def test_worker_cell_error_carries_the_worker_traceback(self):
+        # A batch size of the wrong type gets past the config's checks only
+        # by force, and the cell then raises a TypeError in the worker.
         bad = default_method_config("FT")
         object.__setattr__(bad.base, "batch_size", "64")
-        with worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4), split, [bad]) as w:
+        with worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4), self._tiny_split(),
+                           [bad]) as w:
             [exc] = w.results()
         assert isinstance(exc, TypeError)
         [note] = exc.__notes__
         assert note.startswith("In the worker process:\nTraceback (most recent call last):")
         assert ", in epochs_run\n" in note and note.endswith(str(exc))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_worker_cell_divergence_keeps_its_step_and_traceback(self):
+        theta_o, split = init_params(4, 3, 1, hidden=4, feat_dim=4), self._tiny_split()
+        ga = UnlearnConfig("GA", TrainConfig(lr=1e300, epochs=2, momentum=0.0, batch_size=4))
+        [want] = unlearn_cells(theta_o, split, [ga])
+        with worker.Worker(theta_o, split, [ga]) as w:
+            [exc] = w.results()
+        assert isinstance(want, DivergenceError) and isinstance(exc, DivergenceError)
+        assert (exc.step, str(exc)) == (want.step, str(want))
+        [note] = exc.__notes__
+        assert note.startswith("In the worker process:\nTraceback (most recent call last):")
+        assert note.endswith(f"DivergenceError: {want}")
 
     def test_worker_failure_raises_instead_of_nan_cells(self, monkeypatch, with_worker):
         cfg = mini_config()
@@ -586,6 +604,37 @@ class TestSweepCells:
         monkeypatch.setattr(worker.Worker, "_send", send_garbage)
         with pytest.raises(WorkerError, match="worker exited 1"):
             sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=ctx)
+
+
+class TestScoreCell:
+    """The one mapping both sweeps use from a cell's outcome to its scores
+    and status."""
+
+    def test_result_is_scored(self):
+        assert harness._score_cell(2.0, lambda r: r * 3, "nan") == (6.0, "ok")
+
+    @pytest.mark.parametrize("exc", [DivergenceError(4), DegenerateInputError("empty"),
+                                     NonFiniteError("overflow")],
+                             ids=lambda e: type(e).__name__)
+    def test_cell_failures_become_the_failed_value(self, exc):
+        def score(_):
+            raise AssertionError("a failed cell is not scored")
+        assert harness._score_cell(exc, score, "nan") == (
+            "nan", f"{type(exc).__name__}: {exc}")
+
+        def failing_score(_):
+            raise exc
+        assert harness._score_cell(1.0, failing_score, "nan") == (
+            "nan", f"{type(exc).__name__}: {exc}")
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(TypeError, match="a bug"):
+            harness._score_cell(TypeError("a bug"), lambda r: r, "nan")
+
+        def score(_):
+            raise KeyError("k")
+        with pytest.raises(KeyError):
+            harness._score_cell(1.0, score, "nan")
 
 
 class TestConfigSerialization:

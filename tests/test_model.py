@@ -14,6 +14,7 @@ from unlbench.model import (
     ModelCheckpoint,
     NoiseFeed,
     STREAM_NOISE,
+    SgdRun,
     TrainConfig,
     _forward_cache,
     accuracy,
@@ -26,6 +27,7 @@ from unlbench.model import (
     load_checkpoint,
     log_softmax,
     save_checkpoint,
+    sgd_lockstep,
     sgd_loop,
     sgd_train,
     softmax,
@@ -405,6 +407,124 @@ def test_noise_feed_draws_each_row_once_in_stream_order():
     for step in (1, 4):
         with pytest.raises(ValueError, match=f"row {step} asked of a feed at row 2"):
             feed.row(step)
+
+
+# A fresh feed stands before row 0, so it hands out no row -1.
+@pytest.mark.parametrize("drawn, asked", [(0, -1), (0, 1), (3, 0), (3, -1)])
+def test_noise_feed_rejects_rows_out_of_lockstep(drawn, asked):
+    feed = NoiseFeed(make_rng(9, STREAM_NOISE), 11)
+    for step in range(drawn):
+        feed.row(step)
+    with pytest.raises(ValueError, match=f"row {asked} asked of a feed at row {drawn - 1}"):
+        feed.row(asked)
+
+
+NOISY = {"grad_noise_sigma": 0.1}
+
+# Each case is a list of (n_steps, knobs) runs; knobs may set the seed.
+LOCKSTEP_CASES = {
+    "one-stream-unequal-lengths": [(5, NOISY), (9, NOISY)],
+    "one-stream-longest-first": [(9, NOISY), (5, NOISY), (1, NOISY)],
+    "two-streams-and-noiseless": [(6, NOISY), (3, {**NOISY, "seed": 5}), (6, {})],
+    "frozen-encoder-shares-the-stream": [(7, NOISY), (7, {**NOISY, "freeze_encoder": True})],
+    "other-sigma-shares-the-stream": [(4, NOISY), (4, {"grad_noise_sigma": 0.05,
+                                                      "nesterov": True, "momentum": 0.5})],
+}
+
+
+class TestLockstep:
+    """Runs stepped together by sgd_lockstep reach the bits each reaches
+    alone, and the noisy runs of one stream draw it once."""
+
+    def setup_method(self):
+        rng = make_rng(15, 0)
+        self.theta = tiny_params(15)
+        self.x = rng.standard_normal((16, 5))
+        self.y = rng.integers(0, 4, 16)
+
+    def _run(self, n_steps, knobs, fail_at=None, exc=None):
+        knobs = {"seed": 4, **knobs}
+        cfg = TrainConfig(lr=0.05, epochs=1, **knobs)
+
+        def steps(work, state):
+            for i in range(n_steps):
+                idx = (np.arange(4) + i) % 16
+                grad, loss = cross_entropy_gradient(work, self.x[idx], self.y[idx])
+                if i == fail_at:
+                    if exc is None:
+                        loss = float("nan")
+                    else:
+                        raise exc
+                yield grad, loss, 4, 1.0
+        return SgdRun(self.theta, cfg, steps, None, n_steps)
+
+    @staticmethod
+    def _counting_rows(monkeypatch):
+        """Counts, per seed, the noise rows the runs draw."""
+        import unlbench.model as model
+        drawn = {}
+        real_make_rng = model.make_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.seed, self.rng = seed, real_make_rng(seed, STREAM_NOISE)
+
+            def standard_normal(self, out):
+                drawn[self.seed] = drawn.get(self.seed, 0) + 1
+                return self.rng.standard_normal(out=out)
+        monkeypatch.setattr(model, "make_rng", lambda seed, stream: (
+            CountingRng(seed) if stream == STREAM_NOISE else real_make_rng(seed, stream)))
+        return drawn
+
+    def _solo(self, run):
+        [out] = sgd_lockstep([run])
+        return out
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_runs_match_their_solo_runs(self, case):
+        runs = [self._run(n, knobs) for n, knobs in LOCKSTEP_CASES[case]]
+        together = sgd_lockstep(runs)
+        for run, (params, visits) in zip(runs, together):
+            want, want_visits = self._solo(run)
+            assert visits == want_visits == 4 * run.n_steps
+            assert params.content_hash() == want.content_hash()
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_each_stream_draws_its_longest_runs_rows(self, case, monkeypatch):
+        drawn = self._counting_rows(monkeypatch)
+        sgd_lockstep([self._run(n, knobs) for n, knobs in LOCKSTEP_CASES[case]])
+        want = {}
+        for n, knobs in LOCKSTEP_CASES[case]:
+            if knobs.get("grad_noise_sigma", 0) > 0:
+                seed = knobs.get("seed", 4)
+                want[seed] = max(want.get(seed, 0), n)
+        assert drawn == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("exc", [None, LabelError("bad")], ids=["divergence", "raise"])
+    def test_a_failing_run_stops_alone(self, exc, monkeypatch):
+        drawn = self._counting_rows(monkeypatch)
+        runs = [self._run(9, NOISY), self._run(9, NOISY, fail_at=3, exc=exc),
+                self._run(5, NOISY)]
+        first, failed, last = sgd_lockstep(runs)
+        if exc is None:
+            assert isinstance(failed, DivergenceError) and failed.step == 3
+        else:
+            assert failed is exc
+        assert drawn == {4: 9}
+        for run, (params, visits) in ((runs[0], first), (runs[2], last)):
+            want, want_visits = self._solo(run)
+            assert visits == want_visits
+            assert params.content_hash() == want.content_hash()
+
+    def test_zero_epoch_run_gives_a_copy_and_no_visits(self):
+        run = self._run(5, NOISY)
+        idle = run._replace(cfg=TrainConfig(lr=0.05, epochs=0, seed=4, **NOISY))
+        (params, visits), (busy, _) = sgd_lockstep([idle, run])
+        assert visits == 0 and params.content_hash() == self.theta.content_hash()
+        assert not any(np.shares_memory(getattr(params, b), getattr(self.theta, b))
+                       for b in BLOCKS)
+        assert busy.content_hash() == self._solo(run)[0].content_hash()
 
 
 class TestLeanBackprop:
