@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ubm
+from . import ubm, worker
 from .data import (
     Dataset,
     ForgetSplit,
@@ -49,11 +50,10 @@ from .metrics import (
     split_accuracies,
     split_logits,
 )
-from .model import MlpParams, SgdRun, TrainConfig, forward, init_params, sgd_train
+from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
 from .rng import derive_seed, make_rng
 from .serial import ConfigDict
-from .unlearning import (UnlearnConfig, compute_centroids, finish_cells, run_unlearning,
-                         start_cells)
+from .unlearning import UnlearnConfig, compute_centroids, run_unlearning, unlearn_cells
 
 # Seed-derivation streams under master_seed.
 _S_TRAIN_ORIGINAL = 1
@@ -589,42 +589,22 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
                               for lr, row, status in zip(lr_grid, grid, statuses)])
 
 
-# A worker process pays off only once the cells it takes outlast its start,
-# about 0.3 s on the 2-CPU reference machine (interpreter, package import,
-# the pickled split).  Timed there on seven-cell FT dp-noise sweeps, worker
-# against none, BLAS on one thread, medians of five: on the default config
-# 2 016 steps took 0.45 s against 0.40 s and 2 688 steps 0.47 s against
-# 0.54 s; on large-top-dp's scenario 1 918 steps took 0.39 s against
-# 0.44 s and 9 590 steps 1.5 s against 2.6 s.  The two scenarios break
-# even at different step counts, so 2 500 is a judgement between them, not
-# a measured break-even, and no benchmark workload runs a sweep below it.
-WORKER_MIN_STEPS = 2500
-
-
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))  # Linux's; sweep_cells asks only there
 
 
 def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
     """unlearning.unlearn_cells over cfgs, with every second cell in one
-    worker process (unlbench.worker) when at least two CPUs are usable and
-    the cells' runs make more than WORKER_MIN_STEPS SGD steps.  The parent
-    runs its own cells while the worker starts; the results come back
-    merged in cell order."""
-    # Every cell is started here for its run's length; a cell the worker
-    # takes is dropped and started again there, which repeats at most a
-    # pass over a split set (teacher outputs, centroids, saliency).
-    started = start_cells(theta_o, split, cfgs)
-    steps = sum(run.n_steps for _, run in started if isinstance(run, SgdRun))
-    if len(cfgs) < 2 or _usable_cpus() < 2 or steps <= WORKER_MIN_STEPS:
-        return finish_cells(started)
-    from .worker import Worker  # not at import: `python -m unlbench.worker` imports this module
+    forked worker (unlbench.worker) when the platform is Linux, at least two
+    CPUs are usable and there are at least two cells.  The parent runs its
+    own cells meanwhile; the results come back merged in cell order."""
+    # CPython holds fork unsafe on macOS, and Windows has none.
+    if sys.platform != "linux" or _usable_cpus() < 2 or len(cfgs) < 2:
+        return unlearn_cells(theta_o, split, cfgs)
     out = list(cfgs)
-    with Worker(theta_o, split, cfgs[1::2]) as worker:
-        out[0::2] = finish_cells(started[0::2])
-        out[1::2] = worker.results()
+    with worker.Worker(theta_o, split, cfgs[1::2]) as child:
+        out[0::2] = unlearn_cells(theta_o, split, cfgs[0::2])
+        out[1::2] = child.results()
     return out
 
 

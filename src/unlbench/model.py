@@ -14,13 +14,14 @@ the same IEEE operations in the same order as a block-by-block update, so
 the bits do not depend on the layout.
 
 sgd_lockstep steps a list of runs together, one update each per round in
-list order; sgd_loop is its one-run call.  A run with grad_noise_sigma > 0
-adds sigma times a stream of unit normals to each step's gradient, and
-the runs of one call that share a stream (same seed, same flat size) read
-one NoiseFeed: the first of them to reach a step draws its row and the
-others reuse it, so the stream is drawn once for all of them.  Every run
-scales the row itself, so its bits do not depend on which runs step
-beside it.
+list order, until each run's generator of steps ends: no run's length is
+known before it steps.  sgd_loop is its one-run call.  A run with
+grad_noise_sigma > 0 adds sigma times a stream of unit normals to each
+step's gradient, and the runs of one call that share a stream (same seed,
+same flat size) read one NoiseFeed: the first of them to reach a step
+draws its row and the others reuse it, so the stream is drawn once for
+all of them.  Every run scales the row itself, so its bits do not depend
+on which runs step beside it.
 """
 
 import hashlib
@@ -376,15 +377,12 @@ class SgdRun(NamedTuple):
     vector in BLOCKS order (see backward) that the update consumes; it
     computes each gradient after the previous update, so every stream
     draws in a fixed order.  mask is a 0/1 vector over the flat layout
-    (see SgdState.create).  n_steps is the number of updates steps yields,
-    if known; harness.sweep_cells adds these up to decide whether a sweep
-    takes a worker process.
+    (see SgdState.create).
     """
     params: MlpParams
     cfg: TrainConfig
     steps: Callable
     mask: np.ndarray | None = None
-    n_steps: int | None = None
 
 
 def _stream(run: SgdRun) -> tuple:
@@ -462,7 +460,7 @@ def epochs_run(params: MlpParams, cfg: TrainConfig, n: int, step,
         for epoch in range(cfg.epochs):
             for idx in epoch_batches(n, cfg.batch_size, state.shuffle_rng):
                 yield step(work, epoch, idx)
-    return SgdRun(params, cfg, steps, mask, cfg.epochs * -(-n // cfg.batch_size))
+    return SgdRun(params, cfg, steps, mask)
 
 
 def cross_entropy_run(params: MlpParams, x: np.ndarray, labels_for_epoch, cfg: TrainConfig,

@@ -8,9 +8,8 @@ so runtime cost can be compared without wall-clock noise.
 
 Each procedure makes exactly one SGD run.  It is written as a generator
 that yields that run (a model.SgdRun), is sent back its (params, visits)
-and returns its UnlearnResult, so that unlearn_cells can step the runs of
-many cells together (model.sgd_lockstep): start_cells advances each cell
-to its run, whose length is then known, and finish_cells steps the runs.
+and returns its UnlearnResult, so that unlearn_cells can advance many
+cells to their runs and step the runs together (model.sgd_lockstep).
 The public unlearn_* functions and run_unlearning run one cell by itself.
 """
 
@@ -164,23 +163,20 @@ def _alone(procedure):
     return call
 
 
-def _start(cell) -> tuple:
-    """(cell, the SgdRun it yields), or (cell, the exception that stopped
-    it before its run)."""
-    try:
-        return cell, next(cell)
-    except Exception as exc:  # a cell that fails before its run stops alone
-        return cell, exc
-
-
-def finish_cells(started: list) -> list:
-    """Step the runs of started cells (start_cells) together and send each
-    cell its run's outcome.  Returns each cell's UnlearnResult, or the
+def _run_cells(cells: list) -> list:
+    """Advance each cell to its SGD run, step the runs together and send
+    each cell its run's outcome.  Returns each cell's UnlearnResult, or the
     exception that stopped it, in order."""
-    out = [run if isinstance(run, Exception) else None for _, run in started]
+    runs = []
+    for cell in cells:
+        try:
+            runs.append(next(cell))
+        except Exception as exc:  # a cell that fails before its run stops alone
+            runs.append(exc)
+    out = [run if isinstance(run, Exception) else None for run in runs]
     live = [i for i, result in enumerate(out) if result is None]
-    for i, outcome in zip(live, sgd_lockstep([started[i][1] for i in live])):
-        cell = started[i][0]
+    for i, outcome in zip(live, sgd_lockstep([runs[i] for i in live])):
+        cell = cells[i]
         if isinstance(outcome, Exception):
             cell.close()
             out[i] = outcome
@@ -195,7 +191,7 @@ def finish_cells(started: list) -> list:
 
 
 def _solo(cell):
-    result, = finish_cells([_start(cell)])
+    result, = _run_cells([cell])
     if isinstance(result, Exception):
         raise result
     return result
@@ -526,8 +522,7 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
                 ce, d_ce = cross_entropy_grad_logits(cache["logits"], dr.y[idx])
                 yield backward(work, cache, d_logits=d_kl + d_ce), kl + ce, idx.size, 1.0
 
-    n_steps = cfg.base.epochs * (cfg.scrub_max_steps_per_epoch + cfg.scrub_min_steps_per_epoch)
-    params, visits = yield SgdRun(theta_o, cfg.base, steps, n_steps=n_steps)
+    params, visits = yield SgdRun(theta_o, cfg.base, steps)
     return UnlearnResult(params, visits)
 
 
@@ -565,26 +560,12 @@ def _cell(theta_o: MlpParams, split: ForgetSplit, cfg: UnlearnConfig):
     return procedure(theta_o, *(getattr(split, s) for s in sets), cfg)
 
 
-def cells_split(split: ForgetSplit, cfgs) -> ForgetSplit:
-    """split with None for each set that no cell of cfgs reads."""
-    used = {s for cfg in cfgs for s in _PROCEDURES[cfg.method][1]}
-    return replace(split, **{s: None for s in ("Df", "Dr", "Df_te", "Dr_te") if s not in used})
-
-
-def start_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
-    """One unlearning cell per config over one split, each advanced to its
-    SGD run, so that every run's n_steps is known before any run steps.
-    Returns a (cell, SgdRun or the exception that stopped the cell) pair
-    per config, for finish_cells."""
-    return [_start(_cell(theta_o, split, cfg)) for cfg in cfgs]
-
-
 def unlearn_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
     """One unlearning run per config over one split, all stepped together
     (model.sgd_lockstep), each with the bits it has when run alone.
     Returns each cell's UnlearnResult, or the exception that stopped it,
     in config order."""
-    return finish_cells(start_cells(theta_o, split, cfgs))
+    return _run_cells([_cell(theta_o, split, cfg) for cfg in cfgs])
 
 
 def run_unlearning(theta_o: MlpParams, split: ForgetSplit,

@@ -1,92 +1,86 @@
-"""Unlearning cells in a second process.
+"""Unlearning cells in a forked child process.
 
-    python -m unlbench.worker < cells.pickle > results.pickle
-
-reads (theta_o, split, cfgs) pickled on stdin, runs
-unlearning.unlearn_cells on them and writes the list it returns, pickled,
-to stdout.  Pickling drops an exception's traceback, so each exception
-in that list carries its formatted traceback as a note.  Worker is the
-parent's side: it starts the process, streams the input to it from a
-helper thread, so the parent can run cells of its own meanwhile, and
-reads the results back.
+Worker is the parent's side: it forks a child that runs
+unlearning.unlearn_cells on the memory it inherits and writes the list it
+returns, pickled, to a pipe, so the parent can run cells of its own
+meanwhile and read the results back.  Pickling drops an exception's
+traceback, so each exception in that list carries its formatted traceback
+as a note.  The child leaves only through os._exit, so it runs no atexit
+handler and flushes none of the stdio buffers it inherited.
 """
 
 import os
 import pickle
-import subprocess
-import sys
-import threading
+import signal
 import traceback
-from pathlib import Path
 
 from .errors import WorkerError
-from .unlearning import cells_split, unlearn_cells
+from .unlearning import unlearn_cells
+
+
+def _child(out_fd: int, theta_o, split, cfgs) -> None:
+    """The forked child's whole life: never returns."""
+    code = 1
+    try:
+        results = unlearn_cells(theta_o, split, cfgs)
+        for result in results:
+            if isinstance(result, Exception):
+                result.add_note("In the worker process:\n"
+                                + "".join(traceback.format_exception(result)).rstrip())
+        with open(out_fd, "wb") as out:
+            pickle.dump(results, out, protocol=5)
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 class Worker:
-    """One worker process running unlearn_cells(theta_o, split, cfgs).
+    """One forked child running unlearn_cells(theta_o, split, cfgs).
 
-    It is sent only the split sets its cells read (cells_split).  Used
-    as a context manager: on every exit the process is killed if it still
-    runs, and it and the input thread are reaped.
+    Used as a context manager: on every exit the child is killed if it
+    still runs, and reaped; returncode is then its exit code (negative:
+    the signal that ended it).
     """
 
     def __init__(self, theta_o, split, cfgs):
-        payload = (theta_o, cells_split(split, cfgs), cfgs)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        self._proc = subprocess.Popen([sys.executable, "-m", "unlbench.worker"], env=env,
-                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self._input = threading.Thread(target=self._send, args=(payload,),
-                                       name="unlbench-worker-input")
-        self._input.start()
-
-    def _send(self, payload) -> None:
+        in_fd, out_fd = os.pipe()
         try:
-            with self._proc.stdin as pipe:
-                # Streamed from the arrays' own buffers: no pickled copy of
-                # the split is held in memory.
-                pickle.dump(payload, pipe, protocol=5)
-        except OSError:
-            pass  # the worker has gone; results() reports how it exited
+            self.pid = os.fork()
+        except BaseException:
+            os.close(in_fd)
+            os.close(out_fd)
+            raise
+        if self.pid == 0:
+            os.close(in_fd)
+            _child(out_fd, theta_o, split, cfgs)
+        os.close(out_fd)
+        self._results = open(in_fd, "rb")
+        self.returncode = None
+
+    def _reap(self) -> int:
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
 
     def results(self) -> list:
-        """The worker's list of UnlearnResult or exception per cell; raises
+        """The child's list of UnlearnResult or exception per cell; raises
         WorkerError if it exits non-zero or its output cannot be read."""
         try:
-            out = pickle.load(self._proc.stdout)
+            out = pickle.load(self._results)
         except Exception as exc:
-            code = self._proc.wait()
-            raise WorkerError(f"worker exited {code} without readable results: "
+            raise WorkerError(f"worker exited {self._reap()} without readable results: "
                               f"{type(exc).__name__}: {exc}") from exc
-        code = self._proc.wait()
-        if code != 0:
-            raise WorkerError(f"worker exited {code}")
+        if self._reap() != 0:
+            raise WorkerError(f"worker exited {self.returncode}")
         return out
 
     def __enter__(self) -> "Worker":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._proc.poll() is None:
-            self._proc.kill()
-        self._proc.wait()
-        self._input.join()
-        self._proc.stdout.close()
-
-
-def main() -> int:
-    theta_o, split, cfgs = pickle.load(sys.stdin.buffer)
-    results = unlearn_cells(theta_o, split, cfgs)
-    for result in results:
-        if isinstance(result, Exception):
-            result.add_note("In the worker process:\n"
-                            + "".join(traceback.format_exception(result)).rstrip())
-    pickle.dump(results, sys.stdout.buffer, protocol=5)
-    sys.stdout.buffer.flush()
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self._results.close()

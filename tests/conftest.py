@@ -1,14 +1,17 @@
 """Suite-wide checks."""
 
-import threading
+import os
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
-def no_helper_thread_left():
-    """Fail any test that leaves the program's one helper thread, a
-    worker's input writer (unlbench-worker-input), alive."""
+def no_child_left_unreaped():
+    """Fail any test that leaves a child process, such as a sweep's forked
+    worker, running or unreaped."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name == "unlbench-worker-input"]
-    assert not left, f"threads left running: {left}"
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children at all
+    pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped: {pid}'}")

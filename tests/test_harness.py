@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from unlbench.harness import (
 )
 from unlbench.model import TrainConfig, forward, init_params, sgd_train, softmax
 from unlbench.rng import make_rng
-from unlbench.unlearning import UnlearnConfig, run_unlearning, start_cells, unlearn_cells
+from unlbench.unlearning import UnlearnConfig, run_unlearning, unlearn_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -467,7 +468,6 @@ class _RecordingWorker(worker.Worker):
 def with_worker(monkeypatch):
     """Every sweep with two or more cells takes a worker."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "WORKER_MIN_STEPS", -1)
 
 
 class TestSweepCells:
@@ -486,7 +486,6 @@ class TestSweepCells:
         cfgs = [replace(ft, base=replace(ft.base, seed=9, grad_noise_sigma=s))
                 for s in SweepSpec().sigma_grid]
         theta_o = init_params(4, 40, 1, hidden=4, feat_dim=4)
-        assert [run.n_steps for _, run in start_cells(theta_o, split, cfgs)] == [1370] * 7
         drawn = []  # one entry per noise row drawn
 
         class CountingRng:
@@ -519,24 +518,57 @@ class TestSweepCells:
             if sweep == "lr-epochs":
                 return sweep_hyperparameters(cfg, "FT", [0.01, 0.1], [1, 2], ctx=ctx)
             return sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         want = run()
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(harness, "WORKER_MIN_STEPS", 0)
         monkeypatch.setattr(worker, "Worker", _RecordingWorker)
         _RecordingWorker.started.clear()
         assert run() == want
         [started] = _RecordingWorker.started
-        assert started._proc.returncode == 0
+        assert started.returncode == 0
 
-    @pytest.mark.parametrize("cpus, min_steps", [(1, 0), (2, 10**9)])
-    def test_no_worker_without_a_second_cpu_or_enough_steps(self, monkeypatch, cpus,
-                                                            min_steps):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(harness, "WORKER_MIN_STEPS", min_steps)
-        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+    @pytest.mark.parametrize("cpus, sigmas, platform", [
+        (1, [0.0, 0.1], "linux"), (2, [0.1], "linux"), (2, [0.0, 0.1], "darwin")],
+        ids=["one-cpu", "one-cell", "not-linux"])
+    def test_no_worker_without_linux_two_cpus_and_two_cells(self, monkeypatch, cpus, sigmas,
+                                                            platform):
         cfg = mini_config()
-        rows, _ = sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=build_scenario(cfg))
-        assert len(rows) == 2
+        ctx = build_scenario(cfg)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness.sys, "platform", platform)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        rows, _ = sweep_dp_noise(cfg, "FT", sigmas, ctx=ctx)
+        assert len(rows) == len(sigmas)
+
+    @pytest.mark.parametrize("method", unlearning.METHODS)
+    def test_each_cells_pre_run_work_runs_once_where_the_cell_runs(
+            self, monkeypatch, with_worker, tmp_path, method):
+        # A cell does its pre-run work (pseudo-labels, saliency, centroids,
+        # the teacher's outputs, ...) when it is first advanced.  Each
+        # advance, in either process, appends the pid that made it.
+        calls = tmp_path / "calls"
+        real_cell = unlearning._cell
+
+        def spy_cell(*args):
+            cell = real_cell(*args)
+
+            def advanced():
+                with open(calls, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return (yield from cell)
+            return advanced()
+        monkeypatch.setattr(unlearning, "_cell", spy_cell)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        cfgs = [UnlearnConfig(method, TrainConfig(lr=0.05, epochs=1, batch_size=4,
+                                                  grad_noise_sigma=s))
+                for s in (0.0, 0.1, 0.2, 0.3, 0.4)]
+        cells = harness.sweep_cells(init_params(4, 3, 1, hidden=4, feat_dim=4),
+                                    self._tiny_split(), cfgs)
+        assert not [c for c in cells if isinstance(c, Exception)]
+        [started] = _RecordingWorker.started
+        assert sorted(calls.read_text().split()) == sorted(
+            [str(os.getpid())] * 3 + [str(started.pid)] * 2)
 
     # The parent's own half raising a non-cell error: through one of its
     # cells (re-raised once the results merge), or from the call itself,
@@ -550,23 +582,26 @@ class TestSweepCells:
         def fail(*_args, **_kwargs):
             raise TypeError("a bug")
         module, name = (unlearning, "cross_entropy_run") if target == "cell" else (
-            harness, "finish_cells")
+            harness, "unlearn_cells")
         monkeypatch.setattr(module, name, fail)
         monkeypatch.setattr(worker, "Worker", _RecordingWorker)
         _RecordingWorker.started.clear()
         with pytest.raises(TypeError, match="a bug"):
             sweep_dp_noise(cfg, "FT", [0.0, 0.1, 1.0], ctx=ctx)
         [started] = _RecordingWorker.started
-        assert started._proc.returncode is not None
-        assert not started._input.is_alive()
+        assert started.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started.pid, os.WNOHANG)
 
     @staticmethod
     def _tiny_split():
         rng = make_rng(6, 0)
 
-        def dataset(n):
-            return Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
-        return ForgetSplit((0,), (1, 2), dataset(8), dataset(24), dataset(8), dataset(8))
+        def dataset(n, forget):  # of the forget class 0, or of the retained 1 and 2
+            return Dataset(rng.standard_normal((n, 4)),
+                           np.zeros(n, dtype=np.int64) if forget else rng.integers(1, 3, n), 3)
+        return ForgetSplit((0,), (1, 2), dataset(8, True), dataset(24, False),
+                           dataset(8, True), dataset(8, False))
 
     def test_worker_cell_error_carries_the_worker_traceback(self):
         # A batch size of the wrong type gets past the config's checks only
@@ -579,7 +614,7 @@ class TestSweepCells:
         assert isinstance(exc, TypeError)
         [note] = exc.__notes__
         assert note.startswith("In the worker process:\nTraceback (most recent call last):")
-        assert ", in epochs_run\n" in note and note.endswith(str(exc))
+        assert ", in epoch_batches\n" in note and note.endswith(str(exc))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_cell_divergence_keeps_its_step_and_traceback(self):
@@ -597,12 +632,9 @@ class TestSweepCells:
     def test_worker_failure_raises_instead_of_nan_cells(self, monkeypatch, with_worker):
         cfg = mini_config()
         ctx = build_scenario(cfg)
-
-        def send_garbage(self, _payload):
-            with self._proc.stdin as pipe:
-                pipe.write(b"not a pickle")
-        monkeypatch.setattr(worker.Worker, "_send", send_garbage)
-        with pytest.raises(WorkerError, match="worker exited 1"):
+        # Only the child calls the worker module's unlearn_cells.
+        monkeypatch.setattr(worker, "unlearn_cells", lambda *_args: os._exit(3))
+        with pytest.raises(WorkerError, match="worker exited 3"):
             sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=ctx)
 
 

@@ -456,7 +456,7 @@ class TestLockstep:
                     else:
                         raise exc
                 yield grad, loss, 4, 1.0
-        return SgdRun(self.theta, cfg, steps, None, n_steps)
+        return SgdRun(self.theta, cfg, steps)
 
     @staticmethod
     def _counting_rows(monkeypatch):
@@ -484,9 +484,9 @@ class TestLockstep:
     def test_runs_match_their_solo_runs(self, case):
         runs = [self._run(n, knobs) for n, knobs in LOCKSTEP_CASES[case]]
         together = sgd_lockstep(runs)
-        for run, (params, visits) in zip(runs, together):
+        for (n, _), run, (params, visits) in zip(LOCKSTEP_CASES[case], runs, together):
             want, want_visits = self._solo(run)
-            assert visits == want_visits == 4 * run.n_steps
+            assert visits == want_visits == 4 * n
             assert params.content_hash() == want.content_hash()
 
     @pytest.mark.parametrize("case", LOCKSTEP_CASES)

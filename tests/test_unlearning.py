@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unlbench import model, unlearning
+from unlbench import unlearning
 from unlbench.data import Dataset, DownstreamSpec, SyntheticSpec, generate_universe, split_random_forget
 from unlbench.errors import ConfigError, DegenerateInputError, DivergenceError
 from unlbench.model import (
@@ -498,27 +498,6 @@ class TestMethodInvariants:
             assert np.array_equal(getattr(res.params, b), getattr(theta_o, b)), b
         assert not np.array_equal(res.params.Whead, theta_o.Whead)
 
-    # The sweeps' worker gate (harness.sweep_cells) adds up the runs'
-    # lengths, so each run must be told its true length.
-    @pytest.mark.parametrize("method", METHODS)
-    def test_each_run_is_told_its_true_length(self, scenario, monkeypatch, method):
-        theta_o, split = scenario
-        runs, states = [], []
-        lockstep, create = model.sgd_lockstep, SgdState.create
-
-        def spy_lockstep(batch):
-            runs.extend(batch)
-            return lockstep(batch)
-
-        def spy_create(*args):
-            states.append(create(*args))
-            return states[-1]
-        monkeypatch.setattr(unlearning, "sgd_lockstep", spy_lockstep)
-        monkeypatch.setattr(SgdState, "create", staticmethod(spy_create))
-        run_unlearning(theta_o, split, cfg_for(method, epochs=3, grad_noise_sigma=0.01))
-        [run], [state] = runs, states
-        assert run.n_steps == state.step > 0
-
     @pytest.mark.parametrize("method", METHODS)
     def test_deterministic_given_seed(self, scenario, method):
         theta_o, split = scenario
@@ -615,15 +594,6 @@ class TestLockstepCells:
         assert {k: v for k, v in got.items() if k in golden} == {
             k: v for k, v in golden.items() if k in got}
         assert any("error" in v for v in got.values())  # some "diverge" cells do
-
-    def test_worker_is_sent_only_the_sets_its_cells_read(self, scenario):
-        theta_o, split = scenario
-        sets = ("Df", "Dr", "Df_te", "Dr_te")
-        for methods, kept in [(["FT"], {"Dr"}), (["GA", "FT"], {"Df", "Dr"}),
-                              (["CU"], {"Df", "Dr"})]:
-            sent = unlearning.cells_split(split, [cfg_for(m) for m in methods])
-            assert {s for s in sets if getattr(sent, s) is not None} == kept
-            assert all(getattr(sent, s) is getattr(split, s) for s in kept)
 
     def test_a_cell_failing_before_its_run_stops_alone(self, scenario):
         theta_o, split = scenario
