@@ -48,6 +48,7 @@ from .metrics import (
     mia_efficacy,
     normalize_rows,
     split_accuracies,
+    split_forward,
     split_logits,
 )
 from .model import MlpParams, TrainConfig, forward, init_params, sgd_train
@@ -273,37 +274,42 @@ class ScenarioContext:
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
-    """Generate data, train the original model, split, and retrain."""
+    """Generate data, train the original model, split, and retrain.  A
+    random split never reads theta_o, so there theta_r retrains beside it
+    (_beside); a top split ranks classes by theta_o, so it waits for it."""
     train, test, downstreams, _ = generate_universe(cfg.data)
-    t0 = time.perf_counter()
-    theta_o = init_params(cfg.data.ambient_dim, cfg.data.num_train_classes,
-                          derive_seed(cfg.master_seed, _S_TRAIN_ORIGINAL))
-    theta_o = sgd_train(
-        theta_o, train,
-        cfg.train.with_seed(derive_seed(cfg.master_seed, _S_TRAIN_ORIGINAL)),
+    seed_o = derive_seed(cfg.master_seed, _S_TRAIN_ORIGINAL)
+    init_o = init_params(cfg.data.ambient_dim, cfg.data.num_train_classes, seed_o)
+    retrain_cfg = UnlearnConfig(
+        "RETRAIN", cfg.train.with_seed(derive_seed(cfg.master_seed, _S_RETRAIN))
     )
-    rte_o = time.perf_counter() - t0
+
+    def train_o():
+        t0 = time.perf_counter()
+        theta = sgd_train(init_o, train, cfg.train.with_seed(seed_o))
+        return theta, time.perf_counter() - t0
 
     if cfg.scenario.kind == "random":
         split = split_random_forget(train, test, cfg.scenario.n_forget,
                                     derive_seed(cfg.master_seed, _S_SPLIT))
+        # RETRAIN reads only theta_o's shapes, which its untrained init has.
+        (theta_o, rte_o), [retrained], rte_r = _beside(init_o, split, [retrain_cfg], train_o)
+        if isinstance(retrained, Exception):
+            raise retrained
     else:
+        theta_o, rte_o = train_o()
         ranking = select_top_classes(
             theta_o, train, downstreams[cfg.scenario.related_dataset],
             train.num_classes,
         )
         split = split_top_forget(train, test, cfg.scenario.n_forget, ranking.ids())
-
-    t0 = time.perf_counter()
-    retrain_cfg = UnlearnConfig(
-        "RETRAIN", cfg.train.with_seed(derive_seed(cfg.master_seed, _S_RETRAIN))
-    )
-    theta_r = run_unlearning(theta_o, split, retrain_cfg).params
-    rte_r = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        retrained = run_unlearning(theta_o, split, retrain_cfg)
+        rte_r = time.perf_counter() - t0
 
     return scenario_context(
         cfg.scenario, cfg.master_seed, cfg.probe_rows, downstreams, split,
-        theta_o, theta_r, visits_o=cfg.train.epochs * train.n,
+        theta_o, retrained.params, visits_o=cfg.train.epochs * train.n,
         visits_r=cfg.train.epochs * split.Dr.n, rte_o=rte_o, rte_r=rte_r,
     )
 
@@ -590,21 +596,40 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
 
 
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))  # Linux's; sweep_cells asks only there
+    return len(os.sched_getaffinity(0))  # Linux's; _forks asks only there
+
+
+def _forks() -> bool:
+    """Whether cells run in a forked worker (unlbench.worker): on Linux,
+    when at least two CPUs are usable."""
+    # CPython holds fork unsafe on macOS, and Windows has none.
+    return sys.platform == "linux" and _usable_cpus() >= 2
+
+
+def _beside(theta_o: MlpParams, split: ForgetSplit, cfgs: list, work) -> tuple:
+    """(work(), unlearning.unlearn_cells(theta_o, split, cfgs), the seconds
+    those cells took): the cells run in one forked worker while this
+    process runs work when _forks(), else after it.  A cell's exception
+    comes back as its outcome, as from unlearn_cells."""
+    if not _forks():
+        first = work()
+        t0 = time.perf_counter()
+        return first, unlearn_cells(theta_o, split, cfgs), time.perf_counter() - t0
+    with worker.Worker(theta_o, split, cfgs) as child:
+        first = work()
+        return first, child.results(), child.seconds
 
 
 def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
-    """unlearning.unlearn_cells over cfgs, with every second cell in one
-    forked worker (unlbench.worker) when the platform is Linux, at least two
-    CPUs are usable and there are at least two cells.  The parent runs its
-    own cells meanwhile; the results come back merged in cell order."""
-    # CPython holds fork unsafe on macOS, and Windows has none.
-    if sys.platform != "linux" or _usable_cpus() < 2 or len(cfgs) < 2:
+    """unlearning.unlearn_cells over cfgs, with every second cell in the
+    forked worker (_beside) when _forks() and there are at least two
+    cells.  The parent runs its own cells meanwhile; the results come back
+    merged in cell order."""
+    if len(cfgs) < 2 or not _forks():
         return unlearn_cells(theta_o, split, cfgs)
     out = list(cfgs)
-    with worker.Worker(theta_o, split, cfgs[1::2]) as child:
-        out[0::2] = unlearn_cells(theta_o, split, cfgs[0::2])
-        out[1::2] = child.results()
+    out[0::2], out[1::2], _ = _beside(theta_o, split, cfgs[1::2],
+                                      lambda: unlearn_cells(theta_o, split, cfgs[0::2]))
     return out
 
 
@@ -662,10 +687,10 @@ def last_layer_analysis(theta_o: MlpParams, theta_r: MlpParams,
     full = run_unlearning(theta_o, split, cfg).params
     head_cfg = replace(cfg, base=replace(cfg.base, freeze_encoder=True))
     head = run_unlearning(theta_o, split, head_cfg).params
-    feats_full, _ = forward(full, split.Dr_te.X)
-    feats_head, _ = forward(head, split.Dr_te.X)
+    outs_full, feats_full = split_forward(full, split)
+    outs_head, feats_head = split_forward(head, split)
     cka = compute_cka(feats_full, feats_head)
     acc_r = split_accuracies(split_logits(theta_r, split), split)
-    agl_full, agl_head = (compute_agl(logit_gaps(split_logits(m, split), acc_r, split))
-                          for m in (full, head))
+    agl_full, agl_head = (compute_agl(logit_gaps(outs, acc_r, split))
+                          for outs in (outs_full, outs_head))
     return LastLayerReport(cka, abs(agl_full - agl_head), agl_full, agl_head)

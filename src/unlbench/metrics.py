@@ -349,6 +349,15 @@ def split_logits(params: MlpParams, split: ForgetSplit) -> SplitLogits:
     return SplitLogits(*(forward(params, d.X)[1] for d in _split_sets(split)))
 
 
+def split_forward(params: MlpParams, split: ForgetSplit) -> tuple:
+    """params' split_logits and its features on Dr_te, from one forward
+    pass over each set of the split (split_logits drops every set's
+    features as it goes)."""
+    logits = [forward(params, d.X)[1] for d in _split_sets(split)[:-1]]
+    feats_te, logits_te = forward(params, split.Dr_te.X)
+    return SplitLogits(*logits, logits_te), feats_te
+
+
 def split_accuracies(outs: SplitLogits, split: ForgetSplit) -> tuple:
     """A model's accuracy on Df, Dr, Df_te and Dr_te, in that order, from
     its split_logits."""

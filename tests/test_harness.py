@@ -442,6 +442,7 @@ class TestSweeps:
 
 class _InProcessWorker:
     """Worker's interface, running its cells in this process."""
+    seconds = 0.0
 
     def __init__(self, theta_o, split, cfgs):
         self.args = (theta_o, split, cfgs)
@@ -636,6 +637,135 @@ class TestSweepCells:
         monkeypatch.setattr(worker, "unlearn_cells", lambda *_args: os._exit(3))
         with pytest.raises(WorkerError, match="worker exited 3"):
             sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=ctx)
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="needs two usable CPUs")
+
+
+@pytest.fixture
+def held_child(monkeypatch):
+    """A worker child that runs no cells: it waits until the function
+    this fixture gives is called, or until the fixture ends, then exits
+    through the worker's normal path."""
+    r, w = os.pipe()
+
+    def wait(*_args):
+        os.close(w)  # so that the child sees end-of-file once this process closes it
+        os.read(r, 1)
+        return []
+    monkeypatch.setattr(worker, "unlearn_cells", wait)
+    try:
+        yield lambda: os.write(w, b"x")
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def _worker(cfgs=()):
+    return worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4),
+                         TestSweepCells._tiny_split(), list(cfgs))
+
+
+@two_cpus
+class TestWorkerPlacement:
+    @pytest.mark.parametrize("here", [0, -1], ids=["on-lowest-cpu", "on-highest-cpu"])
+    def test_child_and_parent_hold_disjoint_cpus(self, monkeypatch, held_child, here):
+        cpus = os.sched_getaffinity(0)
+        here = sorted(cpus)[here]
+        monkeypatch.setattr(worker, "_current_cpu", lambda: here)  # where the parent runs
+        with _worker() as w:
+            child, parent = os.sched_getaffinity(w.pid), os.sched_getaffinity(0)
+            held_child()
+            assert w.results() == []
+        assert len(child) == 1 and here not in child and parent == cpus - child
+        assert os.sched_getaffinity(0) == cpus
+
+    def test_current_cpu_is_where_this_thread_runs(self):
+        cpus = os.sched_getaffinity(0)
+        try:
+            for cpu in cpus:
+                os.sched_setaffinity(0, {cpu})
+                assert worker._current_cpu() == cpu
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    @pytest.mark.parametrize("end", ["parent-raises", "child-exits-3"])
+    def test_parent_affinity_restored(self, monkeypatch, held_child, end):
+        cpus = os.sched_getaffinity(0)
+        if end == "child-exits-3":
+            monkeypatch.setattr(worker, "unlearn_cells", lambda *_args: os._exit(3))
+        with pytest.raises(TypeError if end == "parent-raises" else WorkerError):
+            with _worker() as w:
+                assert os.sched_getaffinity(0) < cpus
+                if end == "parent-raises":
+                    raise TypeError("a bug")  # the child is still held
+                w.results()
+        assert w.returncode == (-9 if end == "parent-raises" else 3)
+        assert os.sched_getaffinity(0) == cpus
+
+    # A raise while the child is being placed: on the child's affinity
+    # call, or on the parent's own.
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_placement_error_reaps_the_child_and_restores(self, monkeypatch, held_child,
+                                                          failing_call):
+        cpus = os.sched_getaffinity(0)
+        real, calls = os.sched_setaffinity, []
+
+        def setaffinity(pid, mask):
+            calls.append(pid)
+            if len(calls) == failing_call:
+                raise PermissionError("placement refused")
+            real(pid, mask)
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        with pytest.raises(PermissionError, match="placement refused"):
+            _worker()
+        assert calls[-1] == 0 and len(calls) == failing_call + 1  # the restore
+        assert os.sched_getaffinity(0) == cpus
+        # no_child_left_unreaped checks that the child is gone.
+
+
+class TestBuildScenarioBeside:
+    """A random scenario retrains theta_r in the forked worker while this
+    process trains theta_o; a top scenario does neither beside the other."""
+
+    def test_forked_retrain_gives_the_in_process_models(self, monkeypatch):
+        cfg = mini_config()
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        want = build_scenario(cfg)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        ctx = build_scenario(cfg)
+        [started] = _RecordingWorker.started
+        assert started.returncode == 0
+        for theta in ("theta_o", "theta_r"):
+            assert getattr(ctx, theta).content_hash() == getattr(want, theta).content_hash()
+        assert (ctx.visits_o, ctx.visits_r) == (want.visits_o, want.visits_r)
+        # The retrained row's rte_seconds is theta_r's own training time.
+        assert ctx.rte_r == started.seconds > 0.0 and ctx.rte_o > 0.0
+
+    def test_top_scenario_never_forks(self, monkeypatch):
+        data = SyntheticSpec(
+            ambient_dim=16, num_train_classes=6, per_class_train=10, per_class_test=8,
+            prototype_seed=3, downstream_specs=(DownstreamSpec("rel", 3, (2, 5), 0.9, 18),))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        build_scenario(mini_config(data=data, scenario=ScenarioSpec("top", 2, "rel")))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_retrain_cell_error_raises_as_itself(self, monkeypatch, cpus):
+        def failing(*_args):
+            raise ZeroDivisionError("retrain bug")
+            yield  # a cell: it raises when first advanced
+        monkeypatch.setitem(unlearning._PROCEDURES, "RETRAIN", (failing, ("Dr",)))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ZeroDivisionError, match="retrain bug") as info:
+            build_scenario(mini_config())
+        notes = getattr(info.value, "__notes__", [])
+        assert bool(notes) == (cpus == 2)
+        assert all(n.startswith("In the worker process:\n") for n in notes)
 
 
 class TestScoreCell:

@@ -723,3 +723,37 @@ class TestLogitGapsAndLastLayer:
         sizes = [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
         assert [n for p, n in calls if p is theta_r] == sizes
         assert len(calls) == 3 * len(sizes)
+
+    def test_each_model_forwarded_over_each_split_set_once_in_all(self, monkeypatch):
+        """The full and head-only models' CKA features are their Dr_te
+        features from the split forward, with the bits of a separate pass."""
+        from dataclasses import replace
+        from unlbench import harness, metrics
+        from unlbench.unlearning import UnlearnConfig, run_unlearning
+        theta_o, theta_r, split = self._toy()
+        calls = []
+
+        def recording(params, x):
+            calls.append((params, len(x)))
+            return forward(params, x)
+
+        for module in (harness, metrics):
+            monkeypatch.setattr(module, "forward", recording)
+        cfg = UnlearnConfig("PL", TrainConfig(lr=0.05, epochs=1, seed=5))
+        report = last_layer_analysis(theta_o, theta_r, split, cfg)
+        monkeypatch.undo()
+        rows = {}
+        for params, n in calls:
+            rows.setdefault(id(params), []).append(n)
+        sizes = [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
+        assert list(rows.values()) == [sizes] * 3
+
+        full = run_unlearning(theta_o, split, cfg).params
+        head = run_unlearning(theta_o, split,
+                              replace(cfg, base=replace(cfg.base, freeze_encoder=True))).params
+        acc_r = split_accuracies(split_logits(theta_r, split), split)
+        agl_full, agl_head = (compute_agl(logit_gaps(split_logits(m, split), acc_r, split))
+                              for m in (full, head))
+        cka = compute_cka(forward(full, split.Dr_te.X)[0], forward(head, split.Dr_te.X)[0])
+        assert (report.cka_full_vs_head, report.agl_full, report.agl_head, report.agl_gap) == (
+            cka, agl_full, agl_head, abs(agl_full - agl_head))
