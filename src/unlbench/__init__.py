@@ -57,7 +57,6 @@ from .unlearning import (
     METHODS,
     Centroids,
     UnlearnConfig,
-    retrain_gold,
     run_unlearning,
 )
 

@@ -210,9 +210,9 @@ def _cmd_eval(args) -> int:
     names = [Path(d).name for d in args.downstreams]
     if len(set(names)) < len(names):
         raise ConfigError(f"--downstreams are named by directory, and {names} repeats a name")
-    if args.scenario_kind == "top" and args.related not in names:
-        raise ConfigError(f"--scenario-kind top needs --related naming one of the "
-                          f"--downstreams {names}, got {args.related!r}")
+    if (args.related is not None or args.scenario_kind == "top") and args.related not in names:
+        raise ConfigError(f"--related must name one of the --downstreams {names} "
+                          f"(--scenario-kind top requires it), got {args.related!r}")
     unlearned = load_checkpoint(args.unlearned)
     split = load_split(args.split)
     ctx = scenario_context(

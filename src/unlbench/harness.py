@@ -138,12 +138,10 @@ class ExperimentConfig(ConfigDict):
         if self.repeats < 1 or self.repeats > MAX_REPEATS:
             raise ConfigError(f"repeats must be in [1, {MAX_REPEATS}]")
         names = {d.name for d in self.data.downstream_specs}
-        if self.scenario.kind == "top":
-            if self.scenario.related_dataset not in names:
-                raise ConfigError(
-                    "top scenario requires related_dataset naming a downstream spec, "
-                    f"got {self.scenario.related_dataset!r}"
-                )
+        related = self.scenario.related_dataset
+        if (related is not None or self.scenario.kind == "top") and related not in names:
+            raise ConfigError("scenario.related_dataset must name a downstream spec "
+                              f"(a top scenario requires one), got {related!r}")
         if self.scenario.n_forget >= self.data.num_train_classes:
             raise ConfigError(
                 f"n_forget {self.scenario.n_forget} must be below num_train_classes "
@@ -553,11 +551,23 @@ def emit_report(reports: list, output_dir, config_echo: dict | None = None) -> d
     return paths
 
 
-def _find_method(cfg: ExperimentConfig, method: str) -> tuple:
-    for i, m in enumerate(cfg.methods):
-        if m.method == method:
-            return i, m
-    raise ConfigError(f"method {method!r} not present in the experiment config")
+def _sweep(cfg: ExperimentConfig, method: str, changes: list, score, failed,
+           ctx: ScenarioContext | None) -> list:
+    """Each cell's (scores, status) from _score_cell, where a cell is
+    method's first-repeat config (as run_scenario seeds it) with one entry
+    of changes, a dict of TrainConfig fields, applied to its base.  The
+    cells train together (sweep_cells), and this process scores every one
+    through score(ctx, result).  A method the config does not list is a
+    ConfigError, raised before anything trains."""
+    m_idx = next((i for i, m in enumerate(cfg.methods) if m.method == method), None)
+    if m_idx is None:
+        raise ConfigError(f"method {method!r} not present in the experiment config")
+    first = cfg.methods[m_idx].with_seed(_method_seed(cfg.master_seed, m_idx, 0))
+    cfgs = [replace(first, base=replace(first.base, **change)) for change in changes]
+    if ctx is None:
+        ctx = build_scenario(cfg)
+    return [_score_cell(outcome, lambda result: score(ctx, result), failed)
+            for outcome in sweep_cells(ctx.theta_o, ctx.split, cfgs)]
 
 
 def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
@@ -570,20 +580,13 @@ def sweep_hyperparameters(cfg: ExperimentConfig, method: str,
     The CSV's trailing status column is "ok", or names each failed cell of
     the row as "epochs=E: ExceptionName: message", joined by "; ".  The
     first grid cell's seed matches run_scenario's first repeat, so a 1x1
-    grid reproduces its H-LR exactly.  The cells train together
-    (sweep_cells), and this process scores every one.
+    grid reproduces its H-LR exactly.
     """
-    m_idx, mcfg = _find_method(cfg, method)
-    if ctx is None:
-        ctx = build_scenario(cfg)
-    seed = _method_seed(cfg.master_seed, m_idx, 0)
-    cfgs = [replace(mcfg, base=replace(mcfg.base, seed=seed, lr=float(lr), epochs=int(ep)))
-            for lr in lr_grid for ep in epoch_grid]
-
-    def hlr(result):
+    def hlr(ctx, result):
         return evaluate_model(ctx, result.params)["hlr"]
-    scored = [_score_cell(outcome, hlr, float("nan"))
-              for outcome in sweep_cells(ctx.theta_o, ctx.split, cfgs)]
+    scored = _sweep(cfg, method, [dict(lr=float(lr), epochs=int(ep))
+                                  for lr in lr_grid for ep in epoch_grid],
+                    hlr, float("nan"), ctx)
     n = len(epoch_grid)
     rows = [scored[i * n:(i + 1) * n] for i in range(len(lr_grid))]
     grid = [[value for value, _ in row] for row in rows]
@@ -637,36 +640,27 @@ def sweep_dp_noise(cfg: ExperimentConfig, method: str, sigma_grid,
                    ctx: ScenarioContext | None = None):
     """Representation quality under increasing gradient noise.
 
-    Evaluates k-NN accuracy and the two CKA similarities on the related
-    downstream dataset (top scenario) or the first one (random scenario).
+    Evaluates k-NN accuracy and the two CKA similarities on the
+    scenario's related downstream dataset when it names one, else on the
+    first one.
     Returns (rows, csv_text) with one (sigma, knn, cka_ur, cka_uo) row per
     noise level, NaN where the run diverged, its input was degenerate or
     the model's features were not finite;
     the CSV's trailing status column is "ok" or "ExceptionName: message".
-    sigma 0 reproduces the noiseless run bit-exactly.  The cells train
-    together (sweep_cells), and this process scores every one.
+    sigma 0 reproduces the noiseless run bit-exactly.
     """
-    m_idx, mcfg = _find_method(cfg, method)
-    if ctx is None:
-        ctx = build_scenario(cfg)
-    name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
-    ref = ctx.references[name]
-    seed = _method_seed(cfg.master_seed, m_idx, 0)
-    cfgs = [replace(mcfg, base=replace(mcfg.base, seed=seed, grad_noise_sigma=float(sigma)))
-            for sigma in sigma_grid]
-
-    def score(result):
+    def score(ctx, result):
+        name = cfg.scenario.related_dataset or next(iter(ctx.downstreams))
+        ref = ctx.references[name]
         knn, side, _ = _representation(ctx.features(result.params, name),
                                        ref.probe_idx, ref.knn_split)
         return knn, compute_cka(side, ref.cka_r), compute_cka(side, ref.cka_o)
-    rows, statuses = [], []
-    for sigma, outcome in zip(sigma_grid, sweep_cells(ctx.theta_o, ctx.split, cfgs)):
-        scores, status = _score_cell(outcome, score, (float("nan"),) * 3)
-        rows.append((float(sigma), *scores))
-        statuses.append(status)
+    scored = _sweep(cfg, method, [dict(grad_noise_sigma=float(sigma)) for sigma in sigma_grid],
+                    score, (float("nan"),) * 3, ctx)
+    rows = [(float(sigma), *scores) for sigma, (scores, _) in zip(sigma_grid, scored)]
     return rows, _csv_text([["sigma", "knn_acc", "cka_ur", "cka_uo", "status"]]
                            + [[f"{sigma:g}", _fmt(knn), _fmt(ur), _fmt(uo), status]
-                              for (sigma, knn, ur, uo), status in zip(rows, statuses)])
+                              for (sigma, knn, ur, uo), (_, status) in zip(rows, scored)])
 
 
 @dataclass

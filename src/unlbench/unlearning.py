@@ -10,10 +10,10 @@ Each procedure makes exactly one SGD run.  It is written as a generator
 that yields that run (a model.SgdRun), is sent back its (params, visits)
 and returns its UnlearnResult, so that unlearn_cells can advance many
 cells to their runs and step the runs together (model.sgd_lockstep).
-The public unlearn_* functions and run_unlearning run one cell by itself.
+_PROCEDURES maps each method to its procedure; run_unlearning runs one
+cell by itself, and unlearn_cells runs many together.
 """
 
-import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
@@ -23,8 +23,6 @@ import numpy as np
 from .data import Dataset, ForgetSplit
 from .errors import ConfigError, DegenerateInputError
 from .model import (
-    DEFAULT_FEAT,
-    DEFAULT_HIDDEN,
     MlpParams,
     SgdRun,
     TrainConfig,
@@ -152,51 +150,6 @@ def compute_shared_covariance(params: MlpParams, dataset: Dataset, classes,
     return cents
 
 
-def _alone(procedure):
-    """procedure, which returns a cell's generator (see the module
-    docstring), as a plain call that runs that one cell by itself; the
-    procedure stays reachable as .cell."""
-    @functools.wraps(procedure)
-    def call(*args, **kwargs):
-        return _solo(procedure(*args, **kwargs))
-    call.cell = procedure
-    return call
-
-
-def _run_cells(cells: list) -> list:
-    """Advance each cell to its SGD run, step the runs together and send
-    each cell its run's outcome.  Returns each cell's UnlearnResult, or the
-    exception that stopped it, in order."""
-    runs = []
-    for cell in cells:
-        try:
-            runs.append(next(cell))
-        except Exception as exc:  # a cell that fails before its run stops alone
-            runs.append(exc)
-    out = [run if isinstance(run, Exception) else None for run in runs]
-    live = [i for i, result in enumerate(out) if result is None]
-    for i, outcome in zip(live, sgd_lockstep([runs[i] for i in live])):
-        cell = cells[i]
-        if isinstance(outcome, Exception):
-            cell.close()
-            out[i] = outcome
-            continue
-        try:
-            cell.send(outcome)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except Exception as exc:
-            out[i] = exc
-    return out
-
-
-def _solo(cell):
-    result, = _run_cells([cell])
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 class _BatchCycler:
     """Endless deterministic batches over n rows; reshuffles on exhaustion."""
 
@@ -215,15 +168,13 @@ class _BatchCycler:
         return out
 
 
-@_alone
-def unlearn_ft(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+def _ft(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Fine-tune on the retain set only; forgetting happens by drift."""
-    params, _ = yield cross_entropy_run(theta_o, dr.X, lambda _: dr.y, cfg.base)
-    return UnlearnResult(params, cfg.base.epochs * dr.n)
+    params, visits = yield cross_entropy_run(theta_o, dr.X, lambda _: dr.y, cfg.base)
+    return UnlearnResult(params, visits)
 
 
-@_alone
-def unlearn_ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+def _ga(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Gradient ascent on the forget set's cross-entropy."""
     params, visits = yield cross_entropy_run(theta_o, df.X, lambda _: df.y, cfg.base,
                                              sign=-1.0)
@@ -245,8 +196,7 @@ def _rl_run(theta_o, df, cfg: UnlearnConfig, mask=None) -> SgdRun:
     return cross_entropy_run(theta_o, df.X, relabels.__getitem__, cfg.base, mask=mask)
 
 
-@_alone
-def unlearn_rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+def _rl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Relabel each forget sample with a random different class each epoch."""
     params, visits = yield _rl_run(theta_o, df, cfg)
     return UnlearnResult(params, visits)
@@ -263,8 +213,7 @@ def pseudo_labels(theta_o: MlpParams, x: np.ndarray, forget_classes) -> np.ndarr
     return np.argmax(masked, axis=1)
 
 
-@_alone
-def unlearn_pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+def _pl(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Train forget samples toward theta_o's best non-forget prediction.
 
     Pseudo-labels are computed once, before any parameter update.
@@ -295,8 +244,7 @@ def saliency_mask(theta_o: MlpParams, df: Dataset, fraction: float) -> np.ndarra
     return top_fraction_mask(np.abs(grad), fraction)
 
 
-@_alone
-def unlearn_salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+def _salun(theta_o: MlpParams, df: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
     """Random labeling restricted to the salient parameter subset."""
     mask = saliency_mask(theta_o, df, cfg.saliency_fraction)
     params, visits = yield _rl_run(theta_o, df, cfg, mask=mask)
@@ -364,9 +312,8 @@ def _realign(theta_o, df, dr, cfg: UnlearnConfig, name: str, build_centroids):
     return UnlearnResult(params, visits, {"centroid_hash": centroids.content_hash()})
 
 
-@_alone
-def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
-                 cfg: UnlearnConfig) -> UnlearnResult:
+def _duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
+          cfg: UnlearnConfig) -> UnlearnResult:
     """Push forget features onto the nearest retained-class centroid.
 
     Centroids come from theta_o's features on the retain set and stay
@@ -375,9 +322,8 @@ def unlearn_duck(theta_o: MlpParams, df: Dataset, dr: Dataset,
     return _realign(theta_o, df, dr, cfg, "DUCK", compute_centroids)
 
 
-@_alone
-def unlearn_scar(theta_o: MlpParams, df: Dataset, dr: Dataset,
-                 cfg: UnlearnConfig) -> UnlearnResult:
+def _scar(theta_o: MlpParams, df: Dataset, dr: Dataset,
+          cfg: UnlearnConfig) -> UnlearnResult:
     """DUCK's realignment with squared Mahalanobis distance under the shared
     shrunk covariance of theta_o's retain features."""
     def build(params, dataset, classes):
@@ -428,9 +374,8 @@ def contrastive_loss_grad(feats_a: np.ndarray, labels_a: np.ndarray,
     return loss, d_a, d_r, kept
 
 
-@_alone
-def unlearn_cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
-               cfg: UnlearnConfig) -> UnlearnResult:
+def _cu(theta_o: MlpParams, df: Dataset, dr: Dataset,
+        cfg: UnlearnConfig) -> UnlearnResult:
     """Contrastive decoupling of forget anchors from the retain embedding,
     plus weighted retain cross-entropy.
 
@@ -489,9 +434,8 @@ def kl_teacher_student(teacher_pair: tuple, student_logits: np.ndarray,
     return kl, d_student
 
 
-@_alone
-def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
-                  cfg: UnlearnConfig) -> UnlearnResult:
+def _scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
+           cfg: UnlearnConfig) -> UnlearnResult:
     """Teacher-student distillation: ascend the forget-set KL to the frozen
     teacher, then descend retain KL plus retain cross-entropy, each epoch.
 
@@ -526,31 +470,27 @@ def unlearn_scrub(theta_o: MlpParams, df: Dataset, dr: Dataset,
     return UnlearnResult(params, visits)
 
 
-@_alone
-def retrain_gold(dr: Dataset, base_cfg: TrainConfig, hidden: int = DEFAULT_HIDDEN,
-                 feat_dim: int = DEFAULT_FEAT) -> UnlearnResult:
-    """Train from a fresh seeded initialization on the retain set only."""
-    params = init_params(dr.X.shape[1], dr.num_classes, base_cfg.seed, hidden, feat_dim)
-    params, _ = yield cross_entropy_run(params, dr.X, lambda _: dr.y, base_cfg)
-    return UnlearnResult(params, base_cfg.epochs * dr.n)
-
-
-def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig):
-    return retrain_gold.cell(dr, cfg.base, theta_o.W1.shape[1], theta_o.feat_dim)
+def _retrain(theta_o: MlpParams, dr: Dataset, cfg: UnlearnConfig) -> UnlearnResult:
+    """Train from a fresh seeded initialization on the retain set only; of
+    theta_o it reads only the shapes."""
+    params = init_params(dr.X.shape[1], dr.num_classes, cfg.base.seed,
+                         theta_o.W1.shape[1], theta_o.feat_dim)
+    params, visits = yield cross_entropy_run(params, dr.X, lambda _: dr.y, cfg.base)
+    return UnlearnResult(params, visits)
 
 
 # Each method's procedure generator and the split sets it takes after
 # theta_o.
 _PROCEDURES = {
-    "FT": (unlearn_ft.cell, ("Dr",)),
-    "GA": (unlearn_ga.cell, ("Df",)),
-    "RL": (unlearn_rl.cell, ("Df",)),
-    "PL": (unlearn_pl.cell, ("Df",)),
-    "SalUn": (unlearn_salun.cell, ("Df",)),
-    "DUCK": (unlearn_duck.cell, ("Df", "Dr")),
-    "CU": (unlearn_cu.cell, ("Df", "Dr")),
-    "SCRUB": (unlearn_scrub.cell, ("Df", "Dr")),
-    "SCAR": (unlearn_scar.cell, ("Df", "Dr")),
+    "FT": (_ft, ("Dr",)),
+    "GA": (_ga, ("Df",)),
+    "RL": (_rl, ("Df",)),
+    "PL": (_pl, ("Df",)),
+    "SalUn": (_salun, ("Df",)),
+    "DUCK": (_duck, ("Df", "Dr")),
+    "CU": (_cu, ("Df", "Dr")),
+    "SCRUB": (_scrub, ("Df", "Dr")),
+    "SCAR": (_scar, ("Df", "Dr")),
     "RETRAIN": (_retrain, ("Dr",)),
 }
 
@@ -561,14 +501,37 @@ def _cell(theta_o: MlpParams, split: ForgetSplit, cfg: UnlearnConfig):
 
 
 def unlearn_cells(theta_o: MlpParams, split: ForgetSplit, cfgs) -> list:
-    """One unlearning run per config over one split, all stepped together
-    (model.sgd_lockstep), each with the bits it has when run alone.
+    """One unlearning run per config over one split: advance each cell to
+    its SGD run, step the runs together (model.sgd_lockstep) and send each
+    cell its run's outcome, so each gets the bits it has when run alone.
     Returns each cell's UnlearnResult, or the exception that stopped it,
     in config order."""
-    return _run_cells([_cell(theta_o, split, cfg) for cfg in cfgs])
+    cells = [_cell(theta_o, split, cfg) for cfg in cfgs]
+    out, runs = [None] * len(cells), {}
+    for i, cell in enumerate(cells):
+        try:
+            runs[i] = next(cell)
+        except Exception as exc:  # a cell that fails before its run stops alone
+            out[i] = exc
+    for i, outcome in zip(runs, sgd_lockstep(list(runs.values()))):
+        if isinstance(outcome, Exception):
+            cells[i].close()
+            out[i] = outcome
+            continue
+        try:
+            cells[i].send(outcome)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as exc:
+            out[i] = exc
+    return out
 
 
 def run_unlearning(theta_o: MlpParams, split: ForgetSplit,
                    cfg: UnlearnConfig) -> UnlearnResult:
-    """Dispatch a method over a forget split: unlearn_cells' one-cell call."""
-    return _solo(_cell(theta_o, split, cfg))
+    """Dispatch a method over a forget split: unlearn_cells' one-cell call,
+    which raises whatever stopped its cell."""
+    result, = unlearn_cells(theta_o, split, [cfg])
+    if isinstance(result, Exception):
+        raise result
+    return result

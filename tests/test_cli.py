@@ -268,6 +268,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--kind", "dp-noise"]],
+                             ids=["run", "sweep"])
+    def test_misnamed_related_set_is_config_error(self, workspace, tmp_path, capsys, argv):
+        # The dp-noise sweep used to train theta_o and theta_r first and then
+        # exit 2 on a KeyError; run echoed the bogus name into every row.
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["scenario"]["related_dataset"] = "no-such-set"
+        cfg["sweep"] = {"method": "PL"}
+        if argv == ["run"]:
+            del cfg["sweep"]
+        bad = tmp_path / "related.json"
+        bad.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "'no-such-set'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_sigma_is_config_error(self, workspace, tmp_path, capsys, value):
         # json reads NaN and Infinity; a NaN sigma used to train as sigma 0
@@ -308,6 +324,15 @@ class TestExitCodes:
             argv += ["--related", related]
         assert main(argv) == 1
         assert "--related" in capsys.readouterr().err
+
+    def test_random_eval_with_misnamed_related_rejected_before_loading(self, workspace,
+                                                                      tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main(["eval", "--unlearned", missing, "--retrained", missing,
+                     "--original", missing, "--split", missing,
+                     "--downstreams", str(workspace / "data" / "d"),
+                     "--related", "nope"]) == 1
+        assert "--related must name one of the --downstreams" in capsys.readouterr().err
 
     def test_repeated_downstream_name_rejected_before_loading(self, tmp_path, capsys):
         # a/d and b/d would both be keyed "d", and one would go unscored.

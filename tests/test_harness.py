@@ -433,11 +433,21 @@ class TestSweeps:
         assert [line[-1] for line in csv.reader(io.StringIO(text))][1:] == [
             "NonFiniteError: features contains non-finite entries"] * 2
 
-    def test_unknown_method_rejected(self):
+    @pytest.mark.parametrize("sweep", ["lr-epochs", "dp-noise"])
+    def test_unknown_method_rejected(self, monkeypatch, sweep):
+        # The method is looked up before the scenario is built, so before
+        # any training.
         cfg = mini_config()
         from unlbench.errors import ConfigError
-        with pytest.raises(ConfigError):
-            sweep_hyperparameters(cfg, "SCRUB", [0.1], [1])
+
+        def no_training(_cfg):
+            raise AssertionError("build_scenario ran")
+        monkeypatch.setattr(harness, "build_scenario", no_training)
+        with pytest.raises(ConfigError, match="'SCRUB' not present"):
+            if sweep == "lr-epochs":
+                sweep_hyperparameters(cfg, "SCRUB", [0.1], [1])
+            else:
+                sweep_dp_noise(cfg, "SCRUB", [0.0])
 
 
 class _InProcessWorker:
@@ -864,6 +874,12 @@ BAD_CONFIGS = {
     "two-probe-rows": (_set(("probe_rows",), 2), "probe_rows"),
     "knn-floor": (_set(("data", "downstream_specs", 0, "per_class"), 7), "k-NN"),
     "empty-downstream-specs": (_set(("data", "downstream_specs"), []), "downstream_specs"),
+    # A random scenario's related set, when named, must exist too: the
+    # dp-noise sweep scores it, and run echoes it into every row.
+    "random-related-misnamed": (_set(("scenario", "related_dataset"), "no-such-set"),
+                                "related_dataset must name a downstream spec"),
+    "top-without-related": (_set(("scenario", "kind"), "top"),
+                            "related_dataset must name a downstream spec"),
 }
 
 
@@ -871,6 +887,12 @@ class TestStrictConfig:
     def test_valid_doc_loads(self):
         cfg = ExperimentConfig.from_dict(_valid_doc())
         assert cfg.train.epochs == 3 and cfg.methods[0].base.lr == 0.1
+
+    def test_named_related_set_loads_in_either_scenario(self):
+        for kind in ("random", "top"):
+            doc = _valid_doc()
+            doc["scenario"].update(kind=kind, related_dataset="d")
+            assert ExperimentConfig.from_dict(doc).scenario.related_dataset == "d"
 
     @pytest.mark.parametrize("case", BAD_CONFIGS)
     def test_bad_config_rejected_at_load(self, case):

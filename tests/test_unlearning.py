@@ -36,17 +36,10 @@ from unlbench.unlearning import (
     kl_teacher_student,
     nearest_centroids,
     pseudo_labels,
-    retrain_gold,
     run_unlearning,
     saliency_mask,
     tempered_teacher,
     top_fraction_mask,
-    unlearn_ft,
-    unlearn_ga,
-    unlearn_pl,
-    unlearn_rl,
-    unlearn_salun,
-    unlearn_scrub,
 )
 from unlbench.worker import Worker
 
@@ -138,14 +131,14 @@ class TestGradientAscent:
     def test_large_step_raises_divergence_error(self, scenario):
         theta_o, split = scenario
         with pytest.raises(DivergenceError):
-            unlearn_ga(theta_o, split.Df,
-                       cfg_for("GA", lr=1e4, epochs=100, momentum=0.0))
+            run_unlearning(theta_o, split,
+                           cfg_for("GA", lr=1e4, epochs=100, momentum=0.0))
 
     def test_empty_forget_set_rejected(self, scenario):
-        theta_o, _ = scenario
+        theta_o, split = scenario
         empty = Dataset(np.empty((0, 16)), np.empty(0, dtype=int), 6)
         with pytest.raises(DegenerateInputError):
-            unlearn_ga(theta_o, empty, cfg_for("GA"))
+            run_unlearning(theta_o, replace(split, Df=empty), cfg_for("GA"))
 
 
 class TestRandomLabeling:
@@ -384,7 +377,7 @@ class TestScrub:
         monkeypatch.setattr(unlearning, "forward", recording)
         cfg = replace(cfg_for("SCRUB", epochs=3),
                       scrub_max_steps_per_epoch=4, scrub_min_steps_per_epoch=5)
-        unlearn_scrub(theta_o, split.Df, split.Dr, cfg)
+        run_unlearning(theta_o, split, cfg)
         assert all(p is theta_o for p, _ in calls)
         assert [n for _, n in calls] == [split.Df.n, split.Dr.n]
 
@@ -399,7 +392,7 @@ class TestScrub:
         theta_o, split = scenario
         cfg = replace(cfg_for("SCRUB", lr=0.05, epochs=1, momentum=0.0, seed=8),
                       scrub_max_steps_per_epoch=0, scrub_min_steps_per_epoch=1)
-        res = unlearn_scrub(theta_o, split.Df, split.Dr, cfg)
+        res = run_unlearning(theta_o, split, cfg)
         manual = theta_o.copy()
         state = SgdState.create(manual, cfg.base)
         idx = _BatchCycler(split.Dr.n, cfg.base.batch_size,
@@ -420,28 +413,29 @@ class TestRetrain:
         assert params_equal(a.params, b.params)
 
     def test_same_seed_bit_identical(self, scenario):
-        _, split = scenario
-        cfg = TrainConfig(lr=0.1, epochs=3, seed=21)
-        a = retrain_gold(split.Dr, cfg)
-        b = retrain_gold(split.Dr, cfg)
+        theta_o, split = scenario
+        cfg = UnlearnConfig("RETRAIN", TrainConfig(lr=0.1, epochs=3, seed=21))
+        a = run_unlearning(theta_o, split, cfg)
+        b = run_unlearning(theta_o, split, cfg)
         assert params_equal(a.params, b.params)
 
     def test_forget_accuracy_near_zero(self, scenario):
-        _, split = scenario
-        res = retrain_gold(split.Dr, TrainConfig(lr=0.1, epochs=30, batch_size=16, seed=22))
+        theta_o, split = scenario
+        cfg = UnlearnConfig("RETRAIN", TrainConfig(lr=0.1, epochs=30, batch_size=16, seed=22))
+        res = run_unlearning(theta_o, split, cfg)
         assert model_accuracy(res.params, split.Df) <= 0.01
 
-
-def test_procedures_take_keyword_arguments(scenario):
-    theta_o, split = scenario
-    cfg = cfg_for("RETRAIN", epochs=1)
-    by_name = retrain_gold(split.Dr, cfg.base, hidden=32, feat_dim=8)
-    in_order = retrain_gold(split.Dr, cfg.base, 32, 8)
-    assert by_name.params.content_hash() == in_order.params.content_hash()
-    assert by_name.params.W1.shape[1] == 32 and by_name.params.feat_dim == 8
-    ft = cfg_for("FT", epochs=1)
-    assert unlearn_ft(theta_o, dr=split.Dr, cfg=ft).params.content_hash() == (
-        run_unlearning(theta_o, split, ft).params.content_hash())
+    def test_takes_only_the_shapes_of_theta_o(self, scenario):
+        _, split = scenario
+        theta_o = init_params(16, 6, 5, hidden=32, feat_dim=8)
+        perturbed = theta_o.copy()
+        for b in BLOCKS:
+            getattr(perturbed, b)[...] += 7.0
+        cfg = cfg_for("RETRAIN", epochs=1)
+        a = run_unlearning(theta_o, split, cfg)
+        b = run_unlearning(perturbed, split, cfg)
+        assert a.params.W1.shape == (16, 32) and a.params.feat_dim == 8
+        assert a.params.content_hash() == b.params.content_hash()
 
 
 DECLARED_KNOBS = {
