@@ -269,14 +269,13 @@ def _cmd_sweep(args) -> int:
     method = args.method or sweep.method
     if not method:
         raise ConfigError("sweep needs a method (--method or config sweep.method)")
-    out = Path(args.out or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "lr-epochs":
         _, text = sweep_hyperparameters(cfg, method, sweep.lr_grid, sweep.epoch_grid)
-        path = out / f"sweep_lr_epochs_{method}.csv"
     else:
         _, text = sweep_dp_noise(cfg, method, sweep.sigma_grid)
-        path = out / f"sweep_dp_noise_{method}.csv"
+    out = Path(args.out or cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"sweep_{args.kind.replace('-', '_')}_{method}.csv"
     path.write_text(text)
     print(f"sweep written to {path}")
     return 0

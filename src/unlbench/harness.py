@@ -290,8 +290,13 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioContext:
     if cfg.scenario.kind == "random":
         split = split_random_forget(train, test, cfg.scenario.n_forget,
                                     derive_seed(cfg.master_seed, _S_SPLIT))
-        # RETRAIN reads only theta_o's shapes, which its untrained init has.
-        (theta_o, rte_o), [retrained], rte_r = _beside(init_o, split, [retrain_cfg], train_o)
+
+        def retrain():
+            # RETRAIN reads only theta_o's shapes, which its untrained init has.
+            t0 = time.perf_counter()
+            [outcome] = unlearn_cells(init_o, split, [retrain_cfg])
+            return [outcome, time.perf_counter() - t0]
+        (theta_o, rte_o), (retrained, rte_r) = _beside(train_o, retrain)
         if isinstance(retrained, Exception):
             raise retrained
     else:
@@ -386,72 +391,88 @@ def _method_seed(master_seed: int, method_index: int, repeat: int) -> int:
     return derive_seed(master_seed, _S_METHOD_BASE + method_index * MAX_REPEATS + repeat)
 
 
+def _scored(ctx: ScenarioContext, theta: MlpParams, label: str, **row) -> tuple:
+    """(the MetricsReport of row's fields and theta's scores, label, theta,
+    theta's probe features): a finished report row."""
+    ev = evaluate_model(ctx, theta)
+    probes = ev.pop("probe_features")
+    return MetricsReport(status="ok", **row, **ev), label, theta, probes
+
+
+def _method_row(ctx: ScenarioContext, cfg: ExperimentConfig, m_idx: int, rep: int) -> tuple:
+    """Method-repeat (m_idx, rep) unlearned and scored (_scored), its
+    rte_seconds the unlearning's wall time.  A failure gives a failed
+    report, with label, params and probe features None."""
+    mcfg = cfg.methods[m_idx]
+    seed = _method_seed(cfg.master_seed, m_idx, rep)
+    row = dict(method=mcfg.method, scenario=_scenario_name(cfg.scenario), seed=seed)
+    prov = {"repeat": rep, "role": "unlearned",
+            "related_dataset": cfg.scenario.related_dataset}
+    t0 = time.perf_counter()
+    try:
+        result = run_unlearning(ctx.theta_o, ctx.split, mcfg.with_seed(seed))
+        rte = time.perf_counter() - t0
+        return _scored(ctx, result.params, f"{mcfg.method}-r{rep}", **row,
+                       sample_visits=result.sample_visits, rte_seconds=rte,
+                       provenance={**prov, **result.stats})
+    except Exception as exc:  # failed repeats become rows, not aborts
+        return MetricsReport(**row, status=f"failed: {_failure(exc)}",
+                             rte_seconds=time.perf_counter() - t0, provenance=prov), \
+            None, None, None
+
+
 def run_scenario(cfg: ExperimentConfig, emit: bool = True,
                  ctx: ScenarioContext | None = None):
     """Execute the full benchmark; returns (reports, models).
 
     A failing method-repeat yields a failed report row instead of aborting
-    the run.  With emit=True, reports land in cfg.output_dir, and each
-    model's probe features are written there as soon as it is evaluated.
+    the run.  With at least two method-repeats, every second one in config
+    order is unlearned and scored beside this process (_beside: in the
+    forked worker when _forks()) while it scores theta_o, theta_r and the
+    rest; each row's rte_seconds is timed in the process that ran it.
+    With emit=True, reports and each model's probe features land in
+    cfg.output_dir once every row is in.
     A prebuilt context may be passed to reuse the trained reference models.
     """
     if ctx is None:
         ctx = build_scenario(cfg)
-    scenario_name = _scenario_name(cfg.scenario)
-    out = Path(cfg.output_dir)
-    reports = []
-    models = {}
+    ctx.acc_r  # here, so that the worker does not forward theta_r again
+    jobs = [(m_idx, rep) for m_idx in range(len(cfg.methods)) for rep in range(cfg.repeats)]
 
-    def export_probes(label: str, ev: dict) -> dict:
-        """ev less its probe features, which emit writes at once as UBM1,
-        the raw material for external visualization in place of t-SNE plots."""
-        probes = ev.pop("probe_features")
+    def rows(part: list) -> list:
+        return [_method_row(ctx, cfg, *job) for job in part]
+
+    def references() -> list:
+        return [_scored(ctx, theta, label, method=label, scenario=_scenario_name(cfg.scenario),
+                        seed=cfg.master_seed, sample_visits=visits, rte_seconds=rte,
+                        provenance={"repeat": 0, "role": label,
+                                    "related_dataset": cfg.scenario.related_dataset})
+                for label, theta, visits, rte in (
+                    ("original", ctx.theta_o, ctx.visits_o, ctx.rte_o),
+                    ("retrained", ctx.theta_r, ctx.visits_r, ctx.rte_r))]
+
+    if len(jobs) < 2:
+        done = references() + rows(jobs)
+    else:
+        done = list(jobs)
+        (head, done[0::2]), done[1::2] = _beside(lambda: (references(), rows(jobs[0::2])),
+                                                 lambda: rows(jobs[1::2]))
+        done = head + done
+
+    out = Path(cfg.output_dir)
+    models = {}
+    for _, label, params, probes in done:
+        if params is None:
+            continue
+        models[label] = params
         if emit:
+            # UBM1, the raw material for external visualization in place
+            # of t-SNE plots.
             directory = out / "features" / label
             directory.mkdir(parents=True, exist_ok=True)
             for name, feats in probes.items():
                 ubm.write_matrix(directory / f"{name}.ubm1", feats)
-        return ev
-
-    for label, theta, visits, rte in (
-        ("original", ctx.theta_o, ctx.visits_o, ctx.rte_o),
-        ("retrained", ctx.theta_r, ctx.visits_r, ctx.rte_r),
-    ):
-        reports.append(MetricsReport(
-            method=label, scenario=scenario_name, seed=cfg.master_seed,
-            status="ok", sample_visits=visits, rte_seconds=rte,
-            provenance={"repeat": 0, "role": label,
-                        "related_dataset": cfg.scenario.related_dataset},
-            **export_probes(label, evaluate_model(ctx, theta)),
-        ))
-        models[label] = theta
-
-    for m_idx, mcfg in enumerate(cfg.methods):
-        for rep in range(cfg.repeats):
-            seed = _method_seed(cfg.master_seed, m_idx, rep)
-            run_cfg = mcfg.with_seed(seed)
-            label = f"{mcfg.method}-r{rep}"
-            prov = {"repeat": rep, "role": "unlearned",
-                    "related_dataset": cfg.scenario.related_dataset}
-            t0 = time.perf_counter()
-            try:
-                result = run_unlearning(ctx.theta_o, ctx.split, run_cfg)
-                rte = time.perf_counter() - t0
-                ev = evaluate_model(ctx, result.params)
-            except Exception as exc:  # failed repeats become rows, not aborts
-                reports.append(MetricsReport(
-                    method=mcfg.method, scenario=scenario_name, seed=seed,
-                    status=f"failed: {_failure(exc)}",
-                    rte_seconds=time.perf_counter() - t0, provenance=prov,
-                ))
-                continue
-            reports.append(MetricsReport(
-                method=mcfg.method, scenario=scenario_name, seed=seed,
-                status="ok", sample_visits=result.sample_visits, rte_seconds=rte,
-                provenance={**prov, **result.stats}, **export_probes(label, ev),
-            ))
-            models[label] = result.params
-
+    reports = [report for report, *_ in done]
     if emit:
         # output_dir is environmental, not experimental; leaving it out
         # keeps report.json a pure function of the science.
@@ -609,18 +630,16 @@ def _forks() -> bool:
     return sys.platform == "linux" and _usable_cpus() >= 2
 
 
-def _beside(theta_o: MlpParams, split: ForgetSplit, cfgs: list, work) -> tuple:
-    """(work(), unlearning.unlearn_cells(theta_o, split, cfgs), the seconds
-    those cells took): the cells run in one forked worker while this
-    process runs work when _forks(), else after it.  A cell's exception
-    comes back as its outcome, as from unlearn_cells."""
+def _beside(work, aside) -> tuple:
+    """(work(), aside()): aside runs in one forked worker while this process
+    runs work when _forks(), else after it.  aside's result comes back
+    pickled, and each exception in a list it returns carries the worker's
+    traceback as a note."""
     if not _forks():
+        return work(), aside()
+    with worker.Worker(aside) as child:
         first = work()
-        t0 = time.perf_counter()
-        return first, unlearn_cells(theta_o, split, cfgs), time.perf_counter() - t0
-    with worker.Worker(theta_o, split, cfgs) as child:
-        first = work()
-        return first, child.results(), child.seconds
+        return first, child.results()
 
 
 def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
@@ -631,8 +650,8 @@ def sweep_cells(theta_o: MlpParams, split: ForgetSplit, cfgs: list) -> list:
     if len(cfgs) < 2 or not _forks():
         return unlearn_cells(theta_o, split, cfgs)
     out = list(cfgs)
-    out[0::2], out[1::2], _ = _beside(theta_o, split, cfgs[1::2],
-                                      lambda: unlearn_cells(theta_o, split, cfgs[0::2]))
+    out[0::2], out[1::2] = _beside(lambda: unlearn_cells(theta_o, split, cfgs[0::2]),
+                                   lambda: unlearn_cells(theta_o, split, cfgs[1::2]))
     return out
 
 

@@ -1,12 +1,12 @@
-"""Unlearning cells in a forked child process.
+"""A function of no arguments called in a forked child process.
 
-Worker is the parent's side: it forks a child that runs
-unlearning.unlearn_cells on the memory it inherits and writes the list it
-returns, pickled, to a pipe, so the parent can run cells of its own
-meanwhile and read the results back.  Pickling drops an exception's
-traceback, so each exception in that list carries its formatted traceback
-as a note.  The child leaves only through os._exit, so it runs no atexit
-handler and flushes none of the stdio buffers it inherited.
+Worker is the parent's side: it forks a child that calls the function on
+the memory it inherits and writes what it returns, pickled, to a pipe, so
+the parent can do work of its own meanwhile and read the result back.
+Pickling drops an exception's traceback, so each exception in a returned
+list carries its formatted traceback as a note.  The child leaves only
+through os._exit, so it runs no atexit handler and flushes none of the
+stdio buffers it inherited.
 
 While the child lives it runs on one of the parent's usable CPUs and the
 parent on the others: a forked child otherwise tends to stay on its
@@ -18,11 +18,9 @@ the CPU the scheduler chose for it, where it runs on after the child.
 import os
 import pickle
 import signal
-import time
 import traceback
 
 from .errors import WorkerError
-from .unlearning import unlearn_cells
 
 
 def _current_cpu() -> int:
@@ -33,19 +31,17 @@ def _current_cpu() -> int:
     return int(stat[stat.rindex(b")") + 2:].split()[36])
 
 
-def _child(out_fd: int, theta_o, split, cfgs) -> None:
+def _child(out_fd: int, fn) -> None:
     """The forked child's whole life: never returns."""
     code = 1
     try:
-        t0 = time.perf_counter()
-        results = unlearn_cells(theta_o, split, cfgs)
-        seconds = time.perf_counter() - t0
-        for result in results:
-            if isinstance(result, Exception):
-                result.add_note("In the worker process:\n"
-                                + "".join(traceback.format_exception(result)).rstrip())
-        with open(out_fd, "wb") as out:
-            pickle.dump((results, seconds), out, protocol=5)
+        out = fn()
+        for item in out if isinstance(out, list) else ():
+            if isinstance(item, Exception):
+                item.add_note("In the worker process:\n"
+                              + "".join(traceback.format_exception(item)).rstrip())
+        with open(out_fd, "wb") as f:
+            pickle.dump(out, f, protocol=5)
         code = 0
     except BaseException:
         os.write(2, traceback.format_exc().encode())
@@ -54,7 +50,7 @@ def _child(out_fd: int, theta_o, split, cfgs) -> None:
 
 
 class Worker:
-    """One forked child running unlearn_cells(theta_o, split, cfgs).
+    """One forked child calling fn().
 
     Used as a context manager: on every exit the child is killed if it
     still runs, and reaped, and the parent's CPU affinity is restored;
@@ -63,7 +59,7 @@ class Worker:
     before it propagates.
     """
 
-    def __init__(self, theta_o, split, cfgs):
+    def __init__(self, fn):
         self._affinity = os.sched_getaffinity(0)
         in_fd, out_fd = os.pipe()
         try:
@@ -74,11 +70,10 @@ class Worker:
             raise
         if self.pid == 0:
             os.close(in_fd)
-            _child(out_fd, theta_o, split, cfgs)
+            _child(out_fd, fn)
         os.close(out_fd)
         self._results = open(in_fd, "rb")
         self.returncode = None
-        self.seconds = None
         try:
             if len(self._affinity) > 1:
                 child = min(self._affinity - {_current_cpu()})
@@ -93,18 +88,16 @@ class Worker:
             self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.returncode
 
-    def results(self) -> list:
-        """The child's list of UnlearnResult or exception per cell, and
-        sets seconds to the wall time it spent running them; raises
-        WorkerError if it exits non-zero or its output cannot be read."""
+    def results(self):
+        """What fn returned in the child; raises WorkerError if the child
+        exits non-zero or its output cannot be read."""
         try:
-            out, seconds = pickle.load(self._results)
+            out = pickle.load(self._results)
         except Exception as exc:
             raise WorkerError(f"worker exited {self._reap()} without readable results: "
                               f"{type(exc).__name__}: {exc}") from exc
         if self._reap() != 0:
             raise WorkerError(f"worker exited {self.returncode}")
-        self.seconds = seconds
         return out
 
     def __enter__(self) -> "Worker":

@@ -284,6 +284,15 @@ class TestExitCodes:
         assert "'no-such-set'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["lr-epochs", "dp-noise"])
+    def test_sweep_of_an_unlisted_method_leaves_no_out_directory(self, workspace, tmp_path,
+                                                                 capsys, kind):
+        # --out used to be created, empty, before the method was looked up.
+        assert main(["sweep", "--config", str(workspace / "config.json"), "--kind", kind,
+                     "--method", "RETRAIN", "--out", str(tmp_path / "out")]) == 1
+        assert "method 'RETRAIN' not present" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_sigma_is_config_error(self, workspace, tmp_path, capsys, value):
         # json reads NaN and Infinity; a NaN sigma used to train as sigma 0

@@ -57,6 +57,31 @@ def mini_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def record_forwards(mp, module, path: Path):
+    """Patch module.forward so that each call, in this process or a forked
+    worker, appends (pid, params.content_hash(), rows) to path; returns a
+    function that reads the calls back in the order they were made."""
+    real = module.forward
+
+    def recording(params, x):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {params.content_hash()} {len(x)}\n")
+        return real(params, x)
+    mp.setattr(module, "forward", recording)
+
+    def calls() -> list:
+        if not path.exists():
+            return []
+        return [(int(pid), digest, int(n))
+                for pid, digest, n in (line.split() for line in path.read_text().splitlines())]
+    return calls
+
+
+def forwards_of(calls: list, params) -> list:
+    """The rows of each recorded forward of params, in call order."""
+    return [n for _, digest, n in calls if digest == params.content_hash()]
+
+
 @pytest.fixture(scope="module")
 def trained_toy():
     spec = SyntheticSpec(
@@ -120,17 +145,13 @@ class TestSelectTopClasses:
 
 
 class TestRunScenario:
-    def test_reference_models_forward_once_per_downstream_set(self, monkeypatch):
+    def test_reference_models_forward_once_per_downstream_set(self, monkeypatch, with_worker,
+                                                              tmp_path):
         """theta_o and theta_r are forwarded once over each whole downstream
         set, for their references, and scoring their own rows reuses those
-        features, the probe features sliced from them."""
-        calls = []
-
-        def recording(params, x):
-            calls.append((params, len(x)))
-            return forward(params, x)
-
-        monkeypatch.setattr(harness, "forward", recording)
+        features, the probe features sliced from them.  The forwards of
+        both processes count: FT's row is scored in the worker."""
+        calls = record_forwards(monkeypatch, harness, tmp_path / "forwards")
         base = mini_config()
         data = replace(base.data, downstream_specs=(
             DownstreamSpec("d", 3, (2, 5), 0.9, per_class=18),
@@ -140,13 +161,16 @@ class TestRunScenario:
         ctx = build_scenario(cfg)
         sizes = [ds.n for ds in ctx.downstreams.values()]
         assert sizes == [54, 40] and base.probe_rows < min(sizes)
-        assert len(calls) == 2 * len(sizes)
-        reports, _ = run_scenario(cfg, emit=False, ctx=ctx)
+        assert len(calls()) == 2 * len(sizes)
+        reports, models = run_scenario(cfg, emit=False, ctx=ctx)
         assert [r.method for r in reports] == ["original", "retrained", "PL", "FT"]
         for theta in (ctx.theta_o, ctx.theta_r):
-            assert [n for p, n in calls if p is theta] == sizes
+            assert forwards_of(calls(), theta) == sizes
         # One forward per downstream set for each of the two methods' models.
-        assert len(calls) == 4 * len(sizes)
+        for label in ("PL-r0", "FT-r0"):
+            assert forwards_of(calls(), models[label]) == sizes
+        assert len(calls()) == 4 * len(sizes)
+        assert len({pid for pid, _, _ in calls()}) == 2
 
     def test_each_split_set_forwarded_once_per_scored_model(self, monkeypatch):
         """The four accuracies and the MIA's confidences come from one
@@ -236,21 +260,18 @@ DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json
 
 
 @pytest.fixture(scope="module")
-def default_run():
-    """The shipped default config's scenario, its run_scenario output, and
-    the (params, rows) of each split-set forward that run made."""
+def default_run(tmp_path_factory):
+    """The shipped default config's scenario, its run_scenario output with
+    every second method-repeat in the forked worker, and the (pid,
+    params.content_hash(), rows) of each split-set forward that run made
+    in either process."""
     cfg = ExperimentConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
     ctx = build_scenario(cfg)
-    calls = []
-
-    def recording(params, x):
-        calls.append((params, len(x)))
-        return forward(params, x)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "forward", recording)
+        mp.setattr(harness, "_usable_cpus", lambda: 2)
+        calls = record_forwards(mp, metrics, tmp_path_factory.mktemp("default_run") / "forwards")
         reports, models = run_scenario(cfg, emit=False, ctx=ctx)
-    return ctx, reports, models, calls
+    return ctx, reports, models, calls()
 
 
 class TestDefaultRun:
@@ -275,9 +296,11 @@ class TestDefaultRun:
         ctx, reports, models, calls = default_run
         split = ctx.split
         sizes = [split.Df.n, split.Dr.n, split.Df_te.n, split.Dr_te.n]
+        assert len(models) == len(reports)
         for params in models.values():
-            assert [n for p, n in calls if p is params] == sizes
+            assert forwards_of(calls, params) == sizes
         assert len(calls) == len(sizes) * len(reports)
+        assert len({pid for pid, _, _ in calls}) == 2
 
     def test_scrub_preset_forwards_its_teacher_once_per_split_set(self, default_run,
                                                                   monkeypatch):
@@ -451,14 +474,13 @@ class TestSweeps:
 
 
 class _InProcessWorker:
-    """Worker's interface, running its cells in this process."""
-    seconds = 0.0
+    """Worker's interface, calling its function in this process."""
 
-    def __init__(self, theta_o, split, cfgs):
-        self.args = (theta_o, split, cfgs)
+    def __init__(self, fn):
+        self.fn = fn
 
     def results(self):
-        return unlearn_cells(*self.args)
+        return self.fn()
 
     def __enter__(self):
         return self
@@ -468,11 +490,17 @@ class _InProcessWorker:
 
 
 class _RecordingWorker(worker.Worker):
+    """A Worker that lists itself in started and keeps what results()
+    returned as out."""
     started = []
 
     def __init__(self, *args):
         super().__init__(*args)
         self.started.append(self)
+
+    def results(self):
+        self.out = super().results()
+        return self.out
 
 
 @pytest.fixture
@@ -619,8 +647,8 @@ class TestSweepCells:
         # by force, and the cell then raises a TypeError in the worker.
         bad = default_method_config("FT")
         object.__setattr__(bad.base, "batch_size", "64")
-        with worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4), self._tiny_split(),
-                           [bad]) as w:
+        theta_o, split = init_params(4, 3, 1, hidden=4, feat_dim=4), self._tiny_split()
+        with worker.Worker(lambda: unlearn_cells(theta_o, split, [bad])) as w:
             [exc] = w.results()
         assert isinstance(exc, TypeError)
         [note] = exc.__notes__
@@ -632,7 +660,7 @@ class TestSweepCells:
         theta_o, split = init_params(4, 3, 1, hidden=4, feat_dim=4), self._tiny_split()
         ga = UnlearnConfig("GA", TrainConfig(lr=1e300, epochs=2, momentum=0.0, batch_size=4))
         [want] = unlearn_cells(theta_o, split, [ga])
-        with worker.Worker(theta_o, split, [ga]) as w:
+        with worker.Worker(lambda: unlearn_cells(theta_o, split, [ga])) as w:
             [exc] = w.results()
         assert isinstance(want, DivergenceError) and isinstance(exc, DivergenceError)
         assert (exc.step, str(exc)) == (want.step, str(want))
@@ -643,8 +671,7 @@ class TestSweepCells:
     def test_worker_failure_raises_instead_of_nan_cells(self, monkeypatch, with_worker):
         cfg = mini_config()
         ctx = build_scenario(cfg)
-        # Only the child calls the worker module's unlearn_cells.
-        monkeypatch.setattr(worker, "unlearn_cells", lambda *_args: os._exit(3))
+        exit_in_child(monkeypatch, harness, "unlearn_cells")
         with pytest.raises(WorkerError, match="worker exited 3"):
             sweep_dp_noise(cfg, "FT", [0.0, 0.1], ctx=ctx)
 
@@ -653,28 +680,30 @@ two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                               reason="needs two usable CPUs")
 
 
+def exit_in_child(monkeypatch, module, name):
+    """Patch module.name so that a forked child calling it exits 3 at
+    once; this process still calls the real one."""
+    parent, real = os.getpid(), getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: (
+        real(*args) if os.getpid() == parent else os._exit(3)))
+
+
 @pytest.fixture
-def held_child(monkeypatch):
-    """A worker child that runs no cells: it waits until the function
-    this fixture gives is called, or until the fixture ends, then exits
-    through the worker's normal path."""
+def held_child():
+    """(wait, release): wait, called in a worker child, runs nothing and
+    returns [] once release is called or the fixture ends, so the child
+    exits through the worker's normal path."""
     r, w = os.pipe()
 
-    def wait(*_args):
+    def wait():
         os.close(w)  # so that the child sees end-of-file once this process closes it
         os.read(r, 1)
         return []
-    monkeypatch.setattr(worker, "unlearn_cells", wait)
     try:
-        yield lambda: os.write(w, b"x")
+        yield wait, lambda: os.write(w, b"x")
     finally:
         os.close(r)
         os.close(w)
-
-
-def _worker(cfgs=()):
-    return worker.Worker(init_params(4, 3, 1, hidden=4, feat_dim=4),
-                         TestSweepCells._tiny_split(), list(cfgs))
 
 
 @two_cpus
@@ -684,9 +713,10 @@ class TestWorkerPlacement:
         cpus = os.sched_getaffinity(0)
         here = sorted(cpus)[here]
         monkeypatch.setattr(worker, "_current_cpu", lambda: here)  # where the parent runs
-        with _worker() as w:
+        wait, release = held_child
+        with worker.Worker(wait) as w:
             child, parent = os.sched_getaffinity(w.pid), os.sched_getaffinity(0)
-            held_child()
+            release()
             assert w.results() == []
         assert len(child) == 1 and here not in child and parent == cpus - child
         assert os.sched_getaffinity(0) == cpus
@@ -701,12 +731,11 @@ class TestWorkerPlacement:
             os.sched_setaffinity(0, cpus)
 
     @pytest.mark.parametrize("end", ["parent-raises", "child-exits-3"])
-    def test_parent_affinity_restored(self, monkeypatch, held_child, end):
+    def test_parent_affinity_restored(self, held_child, end):
         cpus = os.sched_getaffinity(0)
-        if end == "child-exits-3":
-            monkeypatch.setattr(worker, "unlearn_cells", lambda *_args: os._exit(3))
+        wait, _ = held_child
         with pytest.raises(TypeError if end == "parent-raises" else WorkerError):
-            with _worker() as w:
+            with worker.Worker(wait if end == "parent-raises" else lambda: os._exit(3)) as w:
                 assert os.sched_getaffinity(0) < cpus
                 if end == "parent-raises":
                     raise TypeError("a bug")  # the child is still held
@@ -728,8 +757,9 @@ class TestWorkerPlacement:
                 raise PermissionError("placement refused")
             real(pid, mask)
         monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        wait, _ = held_child
         with pytest.raises(PermissionError, match="placement refused"):
-            _worker()
+            worker.Worker(wait)
         assert calls[-1] == 0 and len(calls) == failing_call + 1  # the restore
         assert os.sched_getaffinity(0) == cpus
         # no_child_left_unreaped checks that the child is gone.
@@ -753,8 +783,9 @@ class TestBuildScenarioBeside:
         for theta in ("theta_o", "theta_r"):
             assert getattr(ctx, theta).content_hash() == getattr(want, theta).content_hash()
         assert (ctx.visits_o, ctx.visits_r) == (want.visits_o, want.visits_r)
-        # The retrained row's rte_seconds is theta_r's own training time.
-        assert ctx.rte_r == started.seconds > 0.0 and ctx.rte_o > 0.0
+        # The retrained row's rte_seconds is theta_r's own training time,
+        # timed in the worker.
+        assert ctx.rte_r == started.out[1] > 0.0 and ctx.rte_o > 0.0
 
     def test_top_scenario_never_forks(self, monkeypatch):
         data = SyntheticSpec(
@@ -776,6 +807,91 @@ class TestBuildScenarioBeside:
         notes = getattr(info.value, "__notes__", [])
         assert bool(notes) == (cpus == 2)
         assert all(n.startswith("In the worker process:\n") for n in notes)
+
+
+def _default_config(**overrides) -> ExperimentConfig:
+    return replace(ExperimentConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text())),
+                   **overrides)
+
+
+def _run_files(out: Path) -> dict:
+    """Every file run_scenario emitted but report.csv, which holds wall
+    times: path relative to out -> bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "report.csv"}
+
+
+class TestRunScenarioBeside:
+    """With two or more method-repeats, every second one is unlearned and
+    scored in the forked worker while this process scores the rest."""
+
+    @pytest.mark.parametrize("config", [_default_config, lambda **kw: mini_config(repeats=2, **kw)],
+                             ids=["default", "mini-two-repeats"])
+    def test_forked_run_gives_the_in_process_outputs(self, monkeypatch, tmp_path, config):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        want, want_models = run_scenario(config(output_dir=str(tmp_path / "in-process")))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        got, got_models = run_scenario(config(output_dir=str(tmp_path / "forked")))
+        # One worker for theta_r in build_scenario, one for the method rows.
+        assert [w.returncode for w in _RecordingWorker.started] == [0, 0]
+        # The worker's rows are every second method-repeat's.
+        assert [r.to_dict() for r, *_ in _RecordingWorker.started[1].out] == [
+            r.to_dict() for r in got[3::2]]
+        files = _run_files(tmp_path / "in-process")
+        assert "report.json" in files and any(f.endswith(".ubm1") for f in files)
+        assert _run_files(tmp_path / "forked") == files
+        assert list(got_models) == list(want_models)
+        assert {k: m.content_hash() for k, m in got_models.items()} == {
+            k: m.content_hash() for k, m in want_models.items()}
+        assert len(got) == len(want) == len(got_models)
+        for reports in (want, got):
+            assert all(r.status == "ok" and r.rte_seconds > 0.0 for r in reports)
+
+    def test_failed_repeat_in_the_worker_gives_the_in_process_row(self, monkeypatch):
+        bad = UnlearnConfig("GA", TrainConfig(lr=1e5, epochs=200, momentum=0.0))
+        cfg = mini_config(methods=(UnlearnConfig("PL", TrainConfig(lr=0.02, epochs=2)), bad))
+        ctx = build_scenario(cfg)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        want, _ = run_scenario(cfg, emit=False, ctx=ctx)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "Worker", _RecordingWorker)
+        _RecordingWorker.started.clear()
+        got, models = run_scenario(cfg, emit=False, ctx=ctx)
+        [started] = _RecordingWorker.started
+        [(failed, label, params, probes)] = started.out  # GA's row is the worker's
+        assert (label, params, probes) == (None, None, None)
+        assert failed.status.startswith("failed: DivergenceError")
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert got[3].provenance == want[3].provenance and got[3].rte_seconds > 0.0
+        assert list(models) == ["original", "retrained", "PL-r0"]
+
+    @pytest.mark.parametrize("cpus, repeats, platform", [
+        (1, 2, "linux"), (2, 1, "linux"), (2, 2, "darwin")],
+        ids=["one-cpu", "one-method-repeat", "not-linux"])
+    def test_no_worker_without_linux_two_cpus_and_two_method_repeats(
+            self, monkeypatch, cpus, repeats, platform):
+        cfg = mini_config(methods=mini_config().methods[:1], repeats=repeats)
+        ctx = build_scenario(cfg)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness.sys, "platform", platform)
+        monkeypatch.setattr(worker, "Worker", None)  # any use would raise
+        reports, _ = run_scenario(cfg, emit=False, ctx=ctx)
+        assert [r.status for r in reports] == ["ok"] * (2 + repeats)
+
+    def test_worker_exit_raises_instead_of_a_row(self, monkeypatch, with_worker, tmp_path,
+                                                 capsys):
+        # FT's row is the worker's; `run` then exits 2 and writes no report.
+        from unlbench.cli import main
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(mini_config().to_dict()))
+        exit_in_child(monkeypatch, harness, "run_unlearning")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "error: WorkerError: worker exited 3" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 class TestScoreCell:

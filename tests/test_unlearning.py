@@ -580,7 +580,8 @@ class TestLockstepCells:
         if where == "in-process":
             results = unlearning.unlearn_cells(theta_o, split, list(cells.values()))
         else:
-            with Worker(theta_o, split, list(cells.values())) as worker:
+            with Worker(lambda: unlearning.unlearn_cells(theta_o, split,
+                                                         list(cells.values()))) as worker:
                 results = worker.results()
         got = {key: _summary(r) for key, r in zip(cells, results)}
         assert got == {key: _outcome(theta_o, split, cfg) for key, cfg in cells.items()}
